@@ -56,12 +56,14 @@ bench:
 
 # One iteration of every benchmark: catches bench rot (compile errors,
 # panics, a broken fixture) in CI without paying full measurement time.
-# The zero-alloc gates ride along: the batched-ingest hot path must stay
-# at 0 allocs/op per reading and the coalesced sealed-record hot path at
-# 0 allocs/op per sub-frame at depth 16 — asserted, not just measured.
+# The allocation gates ride along: the batched-ingest hot path must stay
+# at 0 allocs/op per reading, the coalesced sealed-record hot path at
+# 0 allocs/op per sub-frame at depth 16, and a budgeted call within 4
+# allocs/op of the same call unbudgeted — asserted, not just measured.
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -benchmem -run '^$$' ./...
 	$(GO) test -count=1 -run 'TestBatchIngestZeroAllocPerReading|TestCoalescedZeroAllocPerSubFrame' ./internal/distributed
+	$(GO) test -count=1 -run 'TestGuardedCallAllocs' ./internal/core
 
 # Regenerate the checked-in baselines: E22 pipelining (BENCH_e22.json),
 # E23 sharded fleet (BENCH_e23.json), E26 rolling replace

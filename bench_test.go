@@ -558,8 +558,9 @@ func BenchmarkStubRoundTrip(b *testing.B) {
 // for the budget plumbing — an unbudgeted call must stay on the inline
 // fast path (the acceptance bound is ≤2% over the pre-deadline baseline;
 // EXPERIMENTS.md records the measured pair). "deadline" runs the same call
-// with a generous budget, paying for one clock read plus the watchdog
-// goroutine, timer, and deadline bookkeeping.
+// with a generous budget, paying for one armed expiry per call (a timer on
+// the system clock, shared by every hop) plus a handoff to a parked
+// watchdog worker per hop. TestGuardedCallAllocs gates its allocations.
 func BenchmarkCall(b *testing.B) {
 	b.Run("no-deadline", func(b *testing.B) {
 		sys := benchMailSystem(b)

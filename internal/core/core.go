@@ -122,6 +122,12 @@ type Envelope struct {
 	// (policy.go). Sorted, read-only, nil on an untainted chain.
 	// Components may consult it but enforcement is the system's job.
 	Taint []string
+
+	// expiry is the armed expiry of Deadline, carried from a handler to
+	// the outbound calls that inherit its deadline unchanged so the whole
+	// call tree shares one timer. Nil on external delivers and on calls
+	// whose context tightened the budget: their hop arms its own.
+	expiry *expiry
 }
 
 // Component is the unit of horizontal application design. Implementations

@@ -283,3 +283,161 @@ func TestWatchdogExpiryAtExactBoundary(t *testing.T) {
 	}
 	close(g.gate)
 }
+
+// simTight calls downstream through CallCtx under a context deadline
+// tighter than the budget it inherited, and reports the error it got.
+type simTight struct {
+	name       string
+	downstream string
+	clk        *simtest.Clock
+	budget     time.Duration
+	ctx        *core.Ctx
+	gotErr     chan error
+}
+
+func (l *simTight) CompName() string         { return l.name }
+func (l *simTight) CompVersion() string      { return "1.0" }
+func (l *simTight) Init(ctx *core.Ctx) error { l.ctx = ctx; return nil }
+func (l *simTight) Handle(core.Envelope) (core.Message, error) {
+	// The context's own wall-clock timer sits years past the virtual
+	// epoch, so only the system clock's expiry can end this hop.
+	cctx, cancel := context.WithDeadline(context.Background(), l.clk.Now().Add(l.budget))
+	defer cancel()
+	_, err := l.ctx.CallCtx(cctx, l.downstream, core.Message{Op: "tight"})
+	l.gotErr <- err
+	return core.Message{Op: "done"}, nil
+}
+
+// launchChain loads comps, grants each one a channel named after the next,
+// and initializes the system.
+func launchChain(t *testing.T, sys *core.System, comps ...core.Component) {
+	t.Helper()
+	for _, c := range comps {
+		if err := sys.Launch(c, false, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i+1 < len(comps); i++ {
+		from, to := comps[i].CompName(), comps[i+1].CompName()
+		if err := sys.Grant(core.ChannelSpec{Name: to, From: from, To: to}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.InitAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBudgetArmsOneExpiryPerChainSim: a budget set at the edge arms one
+// timer for the whole call tree — three guarded hops (deliver → a, a → b,
+// b → c) wait on the same expiry — and a chain that finishes in budget
+// disarms it.
+func TestBudgetArmsOneExpiryPerChainSim(t *testing.T) {
+	sys, clk := newSimSystem(t)
+	a := &simLag{name: "a", downstream: "b", gotErr: make(chan error, 1)}
+	b := &simLag{name: "b", downstream: "c", gotErr: make(chan error, 1)}
+	c := &simGate{name: "c", gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+	launchChain(t, sys, a, b, c)
+	res := make(chan error, 1)
+	go func() {
+		_, err := sys.DeliverDeadline("a", core.Message{Op: "x"}, core.Span{}, clk.Now().Add(time.Second))
+		res <- err
+	}()
+	<-c.entered // the third hop is executing, two callers above it wait
+	if got := clk.Pending(); got != 1 {
+		t.Fatalf("3-hop budgeted chain armed %d timers, want 1", got)
+	}
+	close(c.gate)
+	if err := <-res; err != nil {
+		t.Fatalf("chain in budget: %v", err)
+	}
+	if err := <-b.gotErr; err != nil {
+		t.Fatalf("b → c: %v", err)
+	}
+	if err := <-a.gotErr; err != nil {
+		t.Fatalf("a → b: %v", err)
+	}
+	if got := clk.Pending(); got != 0 {
+		t.Errorf("%d timers still armed after the chain finished in budget, want 0", got)
+	}
+}
+
+// TestTightenedHopArmsOwnExpirySim: a CallCtx whose context deadline is
+// tighter than the inherited budget arms its own timer, which fires first:
+// the tightened call fails with ErrDeadline while the outer request still
+// completes in its own budget.
+func TestTightenedHopArmsOwnExpirySim(t *testing.T) {
+	sys, clk := newSimSystem(t)
+	a := &simTight{name: "a", downstream: "g", clk: clk, budget: 5 * time.Millisecond, gotErr: make(chan error, 1)}
+	g := &simGate{name: "g", gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+	launchChain(t, sys, a, g)
+	res := make(chan error, 1)
+	go func() {
+		_, err := sys.DeliverDeadline("a", core.Message{Op: "x"}, core.Span{}, clk.Now().Add(100*time.Millisecond))
+		res <- err
+	}()
+	<-g.entered
+	if got := clk.Pending(); got != 2 {
+		t.Fatalf("armed %d timers, want 2 (the request's budget and the tightened hop's)", got)
+	}
+	clk.Advance(5 * time.Millisecond) // the tightened budget, far inside the outer one
+	if err := <-a.gotErr; !errors.Is(err, core.ErrDeadline) {
+		t.Fatalf("tightened call: got %v, want ErrDeadline", err)
+	}
+	if err := <-res; err != nil {
+		t.Fatalf("outer request: got %v, want success inside its own budget", err)
+	}
+	if got := clk.Pending(); got != 0 {
+		t.Errorf("%d timers still armed, want 0 (tightened fired, outer disarmed)", got)
+	}
+	close(g.gate)
+}
+
+// TestCanceledCallerLeavesExpiryArmedSim: when the caller of a budgeted
+// request cancels mid-chain, the request's one expiry stays armed, so the
+// abandoned handler's residual guarded call — admitted before the budget
+// ran out and then wedged — is still released with ErrDeadline the moment
+// virtual time crosses the budget.
+func TestCanceledCallerLeavesExpiryArmedSim(t *testing.T) {
+	sys, clk := newSimSystem(t)
+	l := &simLag{
+		name: "lag", downstream: "down",
+		gate: make(chan struct{}), entered: make(chan struct{}, 1),
+		gotErr: make(chan error, 1),
+	}
+	d := &simGate{name: "down", gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+	launchChain(t, sys, l, d)
+	ctx, cancel := context.WithDeadline(context.Background(), clk.Now().Add(50*time.Millisecond))
+	defer cancel()
+	res := make(chan error, 1)
+	go func() {
+		_, err := sys.DeliverCtx(ctx, "lag", core.Message{Op: "x"})
+		res <- err
+	}()
+	<-l.entered
+	cancel()
+	if err := <-res; !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("canceled deliver: got %v, want ErrCanceled", err)
+	}
+	if got := clk.Pending(); got != 1 {
+		t.Fatalf("after cancel %d timers armed, want the budget's 1", got)
+	}
+	close(l.gate) // the abandoned handler makes its residual call, which wedges
+	<-d.entered
+	select {
+	case err := <-l.gotErr:
+		t.Fatalf("residual call returned %v before the budget expired", err)
+	default:
+	}
+	if got := clk.Pending(); got != 1 {
+		t.Fatalf("residual call armed its own timer: %d pending, want 1 shared", got)
+	}
+	clk.Advance(50 * time.Millisecond)
+	if err := <-l.gotErr; !errors.Is(err, core.ErrDeadline) {
+		t.Fatalf("residual call: got %v, want ErrDeadline at the budget", err)
+	}
+	close(d.gate)
+	if st := sys.Stats(); st.Cancels != 1 || st.Timeouts != 1 {
+		t.Errorf("Cancels = %d, Timeouts = %d, want 1 and 1", st.Cancels, st.Timeouts)
+	}
+}

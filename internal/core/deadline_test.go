@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,5 +174,103 @@ func TestAdmissionLimitZeroUnbounded(t *testing.T) {
 	}
 	if st := sys.Stats(); st.Overloads != 0 {
 		t.Errorf("Overloads = %d with the bound disabled", st.Overloads)
+	}
+}
+
+// TestWedgedHandlerKeepsItsWorker: an abandoned handler keeps the
+// watchdog worker it runs on until it really finishes. Guarded calls made
+// meanwhile are served by other workers (a job handed to the wedged worker
+// would sit behind it and miss its budget), and a later guarded deliver to
+// the wedged component queues behind its held slot.
+func TestWedgedHandlerKeepsItsWorker(t *testing.T) {
+	sys := newTestSystem(t)
+	g := &gateComp{name: "g", gate: make(chan struct{})}
+	e := &echoComp{name: "e"}
+	for _, c := range []Component{g, e} {
+		if err := sys.Launch(c, false, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.InitAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.DeliverDeadline("g", Message{Op: "hang"}, Span{}, time.Now().Add(20*time.Millisecond)); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("wedged deliver: got %v, want ErrDeadline", err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := sys.DeliverDeadline("e", Message{Op: "x"}, Span{}, time.Now().Add(5*time.Second)); err != nil {
+			t.Fatalf("guarded call %d while g is wedged: %v", i, err)
+		}
+	}
+	second := make(chan error, 1)
+	go func() {
+		_, err := sys.DeliverDeadline("g", Message{Op: "next"}, Span{}, time.Now().Add(time.Minute))
+		second <- err
+	}()
+	for sys.nodes["g"].admitted.Load() < 2 {
+		runtime.Gosched()
+	}
+	for i := 0; i < 100; i++ {
+		runtime.Gosched() // give a broken slot the chance to admit it
+	}
+	if in := g.inside.Load(); in != 1 {
+		t.Fatalf("%d handlers inside g while its first handler was wedged, want 1", in)
+	}
+	close(g.gate)
+	if err := <-second; err != nil {
+		t.Fatalf("deliver queued behind the wedged handler: %v", err)
+	}
+	if max := g.maxInside.Load(); max != 1 {
+		t.Errorf("max concurrent Handle = %d, want 1", max)
+	}
+}
+
+// TestGuardWorkersRetire: the watchdog workers a burst of guarded calls
+// spawns retire once they sit idle through a reap period, so the process
+// returns to its baseline goroutine count.
+func TestGuardWorkersRetire(t *testing.T) {
+	sys := newTestSystem(t)
+	a := &callerComp{name: "a", channel: "to-b"}
+	b := &echoComp{name: "b"}
+	for _, c := range []Component{a, b} {
+		if err := sys.Launch(c, false, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Grant(ChannelSpec{Name: "to-b", From: "a", To: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.InitAll(); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				if _, err := sys.DeliverDeadline("a", Message{Op: "x"}, Span{}, time.Now().Add(time.Minute)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	sys.guards.mu.Lock()
+	parked := len(sys.guards.idle)
+	sys.guards.mu.Unlock()
+	if parked == 0 {
+		t.Fatal("burst left no parked workers to retire; the test would prove nothing")
+	}
+	// A worker idle for a whole period retires at the next tick: at most
+	// two periods after the burst, plus scheduling slack.
+	deadline := time.Now().Add(2*guardReapPeriod + time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines above baseline %v after the burst", runtime.NumGoroutine()-base, 2*guardReapPeriod)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -93,6 +93,11 @@ type node struct {
 	// downstream work.
 	deadline time.Time
 
+	// expiry is the armed expiry of that budget, guarded by handleMu like
+	// deadline. Outbound calls that inherit the deadline unchanged share
+	// it, so the whole call tree waits on one timer (see deadline.go).
+	expiry *expiry
+
 	// span is the handler span the component is currently executing,
 	// guarded by handleMu like deadline. Outbound calls parent to it.
 	span Span
@@ -179,6 +184,10 @@ type System struct {
 	// timing. Defaults to the wall clock; SetClock swaps in a virtual one.
 	// Read lock-free on the hot path, so it must be set before traffic.
 	clock Clock
+
+	// guards holds the parked watchdog workers guarded handlers run on
+	// (deadline.go); idle ones retire on their own.
+	guards guardPool
 }
 
 // DefaultAdmissionLimit is the per-component admission-queue bound a new
@@ -472,10 +481,7 @@ func (s *System) call(ctx context.Context, from *node, channelName string, msg M
 		s.mu.Unlock()
 		return Message{}, fmt.Errorf("%s calling %q: %w", from.comp.CompName(), channelName, ErrNoChannel)
 	}
-	deadline := from.deadline
-	if ctx != nil {
-		deadline = effectiveDeadline(from.deadline, ctx)
-	}
+	deadline, exp := outboundBudget(from, ctx)
 	taint := from.taint
 	ch.uses++
 	s.account(ch.to)
@@ -506,7 +512,7 @@ func (s *System) call(ctx context.Context, from *node, channelName string, msg M
 	}
 	s.mu.Unlock()
 
-	env := Envelope{Msg: msg.Clone(), Span: sp, Deadline: deadline, Taint: taint}
+	env := Envelope{Msg: msg.Clone(), Span: sp, Deadline: deadline, Taint: taint, expiry: exp}
 	if ch.spec.Badge != 0 {
 		env.From = from.comp.CompName()
 		env.Badge = ch.spec.Badge
@@ -622,9 +628,9 @@ func (s *System) dispatch(ctx context.Context, n *node, env *Envelope, compromis
 // existed. Everyone else is counted while queued or running:
 //   - unguarded but contended: count self as a waiter, shed when waiters
 //     would exceed limit-1 (the uncounted slot holder is the limit-th);
-//   - guarded: count self for the handler's whole lifetime (the watchdog
-//     decrements after the handler really finishes, even abandoned), shed
-//     when the count would exceed limit.
+//   - guarded: count self for the handler's whole lifetime (its watchdog
+//     worker decrements after the handler really finishes, even
+//     abandoned), shed when the count would exceed limit.
 //
 // Both sheds refuse the call at the same total occupancy: limit callers
 // inside or waiting on the component.
@@ -643,7 +649,7 @@ func (s *System) invoke(ctx context.Context, n *node, env *Envelope, guarded, co
 		s.noteBudgetErr(err, n.comp.CompName(), env.Span)
 		return Message{}, err
 	}
-	return s.invokeGuarded(ctx, n, *env, compromised, obs)
+	return s.invokeGuarded(ctx, n, env, compromised, obs)
 }
 
 // invokeQueued is invoke's contended unguarded path: the slot holder is
@@ -672,10 +678,11 @@ func (s *System) invokeQueued(n *node, env *Envelope, compromised bool, obs Obse
 // is needed on this path.
 func (s *System) run(n *node, env *Envelope, compromised bool, obs Observer) (Message, error) {
 	if !env.Deadline.IsZero() || !n.deadline.IsZero() {
-		// Record the handler's budget so its outbound calls inherit the
-		// remainder (and clear a stale one left by an earlier budgeted
-		// invocation). Conditional store to keep the steady path read-only.
-		n.deadline = env.Deadline
+		// Record the handler's budget and its armed expiry so its outbound
+		// calls inherit the remainder (and clear a stale one left by an
+		// earlier budgeted invocation). Conditional store to keep the
+		// steady path read-only.
+		n.deadline, n.expiry = env.Deadline, env.expiry
 	}
 	if env.Span != n.span {
 		// Same for the handler span: outbound calls parent to it; a zero

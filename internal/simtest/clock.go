@@ -20,7 +20,7 @@ import (
 var Epoch = time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // Clock is a deterministic virtual time source. It satisfies core.Clock
-// (Now + After) and netsim.Clock (Now) structurally, and its Sleep/Now
+// (Now + AfterFunc) and netsim.Clock (Now) structurally, and its Sleep/Now
 // methods slot straight into cluster.Config's func seams — one clock
 // drives the whole stack.
 //
@@ -38,10 +38,9 @@ type Clock struct {
 }
 
 type simTimer struct {
-	at    time.Time
-	seq   uint64
-	ch    chan time.Time
-	fired bool
+	at  time.Time
+	seq uint64
+	f   func()
 }
 
 // NewClock builds a virtual clock at Epoch, offset by skew. Schedules use
@@ -58,22 +57,28 @@ func (c *Clock) Now() time.Time {
 	return c.now
 }
 
-// After arms a virtual timer: the returned channel receives once the
-// clock has been advanced past d from now. A non-positive d fires
-// immediately, matching time.NewTimer. The stop function disarms the
-// timer and reports whether it was still pending.
-func (c *Clock) After(d time.Duration) (<-chan time.Time, func() bool) {
+// AfterFunc arms a virtual timer: f runs once the clock has been advanced
+// d past now. A non-positive d runs f before AfterFunc returns, matching
+// time.AfterFunc's immediate expiry. The stop function disarms the timer
+// and reports whether it was still pending.
+//
+// f runs with the clock's lock held — exactly the window in which the
+// clock reads the timer's own deadline — so it must signal (close a
+// channel, store a value) and never call back into the clock. Goroutines
+// it wakes observe Now only once the whole advance is done, which keeps a
+// replay independent of how the scheduler orders them.
+func (c *Clock) AfterFunc(d time.Duration, f func()) (stop func() bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := &simTimer{at: c.now.Add(d), seq: c.seq, ch: make(chan time.Time, 1)}
+	seq := c.seq
 	c.seq++
 	if d <= 0 {
-		t.fired = true
-		t.ch <- c.now
-		return t.ch, func() bool { return false }
+		f()
+		return func() bool { return false }
 	}
+	t := &simTimer{at: c.now.Add(d), seq: seq, f: f}
 	c.timers = append(c.timers, t)
-	stop := func() bool {
+	return func() bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		for i, tt := range c.timers {
@@ -84,7 +89,6 @@ func (c *Clock) After(d time.Duration) (<-chan time.Time, func() bool) {
 		}
 		return false
 	}
-	return t.ch, stop
 }
 
 // Sleep advances virtual time by d. It is the drop-in for
@@ -103,8 +107,8 @@ func (c *Clock) Advance(d time.Duration) {
 
 // AdvanceTo moves virtual time forward to target (no-op if target is in
 // the past), firing every timer due on the way. The clock steps to each
-// timer's deadline before delivering it, so a timer callback that reads
-// Now sees exactly its own deadline.
+// timer's deadline before running its callback, so the callback fires at
+// exactly its own deadline.
 func (c *Clock) AdvanceTo(target time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -127,8 +131,7 @@ func (c *Clock) AdvanceTo(target time.Time) {
 		if t.at.After(c.now) {
 			c.now = t.at
 		}
-		t.fired = true
-		t.ch <- c.now
+		t.f()
 	}
 	if target.After(c.now) {
 		c.now = target

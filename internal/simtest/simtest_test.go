@@ -3,6 +3,7 @@ package simtest
 import (
 	"errors"
 	"flag"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,44 +16,58 @@ var (
 )
 
 // TestClockTimers pins the virtual clock's contract: timers fire in
-// deadline order, the clock reads each timer's own deadline when it
-// fires, stop disarms, and non-positive delays fire immediately.
+// deadline order (ties in arming order), the clock reads each timer's own
+// deadline when it fires, stop disarms, and non-positive delays fire
+// immediately.
 func TestClockTimers(t *testing.T) {
 	clk := NewClock(0)
-	c1, _ := clk.After(10 * time.Millisecond)
-	c2, _ := clk.After(5 * time.Millisecond)
-	c3, stop := clk.After(7 * time.Millisecond)
-	if got := clk.Pending(); got != 3 {
-		t.Fatalf("pending = %d, want 3", got)
+	var fired []string
+	var at []time.Time
+	arm := func(name string, d time.Duration) func() bool {
+		return clk.AfterFunc(d, func() {
+			// AfterFunc runs callbacks under clk.mu: read the field, not Now.
+			fired = append(fired, name)
+			at = append(at, clk.now)
+		})
+	}
+	arm("10ms", 10*time.Millisecond)
+	arm("5ms", 5*time.Millisecond)
+	stop := arm("7ms", 7*time.Millisecond)
+	arm("5ms-second", 5*time.Millisecond)
+	if got := clk.Pending(); got != 4 {
+		t.Fatalf("pending = %d, want 4", got)
 	}
 	if !stop() {
 		t.Fatal("stop on armed timer reported not-pending")
 	}
-	clk.Advance(6 * time.Millisecond)
-	select {
-	case at := <-c2:
-		if want := Epoch.Add(5 * time.Millisecond); !at.Equal(want) {
-			t.Fatalf("timer fired at %v, want %v", at, want)
-		}
-	default:
-		t.Fatal("5ms timer did not fire after 6ms advance")
+	if stop() {
+		t.Fatal("second stop reported the timer still pending")
 	}
-	select {
-	case <-c1:
-		t.Fatal("10ms timer fired after only 6ms")
-	case <-c3:
-		t.Fatal("stopped timer fired")
-	default:
+	clk.Advance(6 * time.Millisecond)
+	if want := []string{"5ms", "5ms-second"}; !slices.Equal(fired, want) {
+		t.Fatalf("after 6ms fired %v, want %v (deadline order, ties in arming order)", fired, want)
+	}
+	for _, got := range at {
+		if want := Epoch.Add(5 * time.Millisecond); !got.Equal(want) {
+			t.Fatalf("timer fired at %v, want %v", got, want)
+		}
 	}
 	clk.Advance(10 * time.Millisecond)
-	if _, ok := <-c1; !ok {
-		t.Fatal("10ms timer channel broken")
+	if want := []string{"5ms", "5ms-second", "10ms"}; !slices.Equal(fired, want) {
+		t.Fatalf("after 16ms fired %v, want %v (stopped timer must not fire)", fired, want)
 	}
-	now, _ := clk.After(0)
-	select {
-	case <-now:
-	default:
+	if want := Epoch.Add(10 * time.Millisecond); !at[2].Equal(want) {
+		t.Fatalf("10ms timer fired at %v, want %v", at[2], want)
+	}
+	if got := clk.Pending(); got != 0 {
+		t.Fatalf("pending = %d after every timer fired or stopped, want 0", got)
+	}
+	stopNow := arm("now", 0)
+	if want := []string{"5ms", "5ms-second", "10ms", "now"}; !slices.Equal(fired, want) {
 		t.Fatal("zero-delay timer did not fire immediately")
+	}
+	if stopNow() {
+		t.Fatal("stop on an already-fired timer reported pending")
 	}
 	if got, want := clk.Elapsed(), 16*time.Millisecond; got != want {
 		t.Fatalf("elapsed = %v, want %v", got, want)
