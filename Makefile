@@ -20,9 +20,12 @@ test:
 
 # The invocation hot path is lock-sensitive end to end — tracing, the
 # deadline watchdog, the wire budget, and failover routing: run every
-# package on that path under the race detector on each tier-1 pass.
+# package on that path under the race detector on each tier-1 pass. A batch
+# frame holds its component's slot across every reading, so the
+# two-stub batch/single-call contention test repeats ten times.
 race-hotpath:
 	$(GO) test -race ./internal/telemetry ./internal/core ./internal/distributed ./internal/cluster
+	$(GO) test -race -count=10 -run TestBatchConcurrentStubs ./internal/distributed
 
 race:
 	$(GO) test -race ./...

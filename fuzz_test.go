@@ -251,9 +251,24 @@ func FuzzBatchFrameDecode(f *testing.F) {
 		{Op: "reading", Data: []byte("meter-7=\x03")},
 		{Op: "reading", Data: []byte("meter-7=\x03")},
 	})
+	// Consecutive readings share the previous reading's op string only when
+	// the bytes match: alternating ops, an op that is a prefix of the one
+	// before it, and runs of the empty op must all reencode exactly.
+	alternating, _ := distributed.EncodeBatch([]distributed.Reading{
+		{Op: "reading", Data: []byte("m1")}, {Op: "ack"}, {Op: "reading", Data: []byte("m2")}, {Op: "ack"},
+	})
+	prefix, _ := distributed.EncodeBatch([]distributed.Reading{
+		{Op: "reading", Data: []byte("m1")}, {Op: "read", Data: []byte("m1")}, {Op: "reading"},
+	})
+	empty, _ := distributed.EncodeBatch([]distributed.Reading{
+		{Op: "", Data: []byte("x")}, {Op: ""}, {Op: "reading"}, {Op: ""},
+	})
 	f.Add(one)
 	f.Add(many)
 	f.Add(dup)
+	f.Add(alternating)
+	f.Add(prefix)
+	f.Add(empty)
 	f.Add([]byte{})
 	f.Add([]byte{0})                   // short count
 	f.Add([]byte{0, 0})                // zero count

@@ -383,7 +383,7 @@ func (s *System) DeliverCtx(ctx context.Context, target string, msg Message) (Me
 // reusing the buffer). The distributed exporter uses it so a decrypted
 // request can be dispatched straight from a pooled record buffer.
 func (s *System) DeliverShared(target string, msg Message, parent Span, deadline time.Time) (Message, error) {
-	return s.deliverEnv(nil, target, msg, parent, deadline, nil)
+	return s.deliverEnv(nil, target, msg, parent, deadline, nil, sampleRoot)
 }
 
 // DeliverEnvelope injects an external stimulus described by a prebuilt
@@ -394,7 +394,7 @@ func (s *System) DeliverShared(target string, msg Message, parent Span, deadline
 // another machine; the installed Policy judges that taint at this deliver
 // boundary before the target runs.
 func (s *System) DeliverEnvelope(target string, env Envelope) (Message, error) {
-	return s.deliverEnv(nil, target, env.Msg, env.Span, env.Deadline, env.Taint)
+	return s.deliverEnv(nil, target, env.Msg, env.Span, env.Deadline, env.Taint, sampleRoot)
 }
 
 // deliver is the single entry point behind every Deliver variant. A nil
@@ -403,33 +403,28 @@ func (s *System) DeliverEnvelope(target string, env Envelope) (Message, error) {
 // context.Context interface calls (Done, Deadline) that even a Background
 // context would cost on every hop.
 func (s *System) deliver(ctx context.Context, target string, msg Message, parent Span, deadline time.Time) (Message, error) {
-	return s.deliverEnv(ctx, target, Message{Op: msg.Op, Data: msg.CloneData()}, parent, deadline, nil)
+	return s.deliverEnv(ctx, target, Message{Op: msg.Op, Data: msg.CloneData()}, parent, deadline, nil, sampleRoot)
 }
 
 // deliverEnv is deliver after the ownership decision: msg is placed in the
 // envelope as-is. deliver clones; DeliverShared passes the caller's buffer
-// through under the borrow contract documented there.
-func (s *System) deliverEnv(ctx context.Context, target string, msg Message, parent Span, deadline time.Time, taint []string) (Message, error) {
+// through under the borrow contract documented there. samp says whether
+// this deliver makes its own head-sampling decision or follows the one
+// its batch frame made (see BeginBatch).
+func (s *System) deliverEnv(ctx context.Context, target string, msg Message, parent Span, deadline time.Time, taint []string, samp sampling) (Message, error) {
 	s.mu.Lock()
 	n, ok := s.nodes[target]
 	if !ok {
 		s.mu.Unlock()
 		return Message{}, fmt.Errorf("deliver to %s: %w", target, ErrNoDomain)
 	}
-	s.account(n)
+	s.account(n, 1)
 	compromised := n.dom.compromised
 	obs := s.observer
 	tr := s.tracer
 	pol := s.policy
-	if tr != nil && parent == (Span{}) && s.sampleEvery > 1 {
-		// Head sampling: decide once at the trace root. An unsampled
-		// request runs the untraced fast path end to end; continuations
-		// of a remote trace (non-zero parent) always honor the upstream
-		// decision instead of rolling their own.
-		s.sampleCtr++
-		if s.sampleCtr%s.sampleEvery != 0 {
-			tr = nil
-		}
+	if tr != nil && (samp == sampleOut || (samp == sampleRoot && !s.headSampled(parent))) {
+		tr = nil
 	}
 	var sp Span
 	var info SpanInfo
@@ -447,19 +442,9 @@ func (s *System) deliverEnv(ctx context.Context, target string, msg Message, par
 	s.mu.Unlock()
 	env := Envelope{Msg: msg, Span: sp, Deadline: deadline, Taint: taint}
 	if pol != nil {
-		// The deliver boundary is where wire-imported taint is judged:
-		// the chain continuing here already touched whatever the taint
-		// names, possibly on another machine.
-		acquire, perr := pol.CheckInvoke(PolicyRequest{
-			Taint: taint, Channel: PolicyDeliver, To: target, Op: msg.Op,
-		})
-		if perr != nil {
-			perr = fmt.Errorf("deliver to %s: %w", target, perr)
-			s.notePolicyDeny(perr, target, sp)
+		var perr error
+		if env.Taint, perr = s.checkDeliver(pol, target, msg.Op, taint, sp); perr != nil {
 			return Message{}, perr
-		}
-		if len(acquire) > 0 {
-			env.Taint = MergeTaint(taint, acquire)
 		}
 	}
 	if tr == nil {
@@ -484,7 +469,7 @@ func (s *System) call(ctx context.Context, from *node, channelName string, msg M
 	deadline, exp := outboundBudget(from, ctx)
 	taint := from.taint
 	ch.uses++
-	s.account(ch.to)
+	s.account(ch.to, 1)
 	fromCompromised := from.dom.compromised
 	toCompromised := ch.to.dom.compromised
 	obs := s.observer
@@ -557,13 +542,33 @@ func (s *System) call(ctx context.Context, from *node, channelName string, msg M
 	return reply, err
 }
 
-// account updates cost counters for an invocation into node n.
+// checkDeliver judges one external deliver at the boundary where
+// wire-imported taint is judged: the chain continuing here already touched
+// whatever the taint names, possibly on another machine. It returns the
+// chain's taint grown by what the policy says the deliver confers, or the
+// journaled refusal.
+func (s *System) checkDeliver(pol Policy, target, op string, taint []string, sp Span) ([]string, error) {
+	acquire, perr := pol.CheckInvoke(PolicyRequest{
+		Taint: taint, Channel: PolicyDeliver, To: target, Op: op,
+	})
+	if perr != nil {
+		perr = fmt.Errorf("deliver to %s: %w", target, perr)
+		s.notePolicyDeny(perr, target, sp)
+		return nil, perr
+	}
+	if len(acquire) > 0 {
+		taint = MergeTaint(taint, acquire)
+	}
+	return taint, nil
+}
+
+// account updates cost counters for k invocations into node n.
 // Caller holds s.mu.
-func (s *System) account(n *node) {
-	s.stats.Invocations++
-	s.stats.VirtualNs += s.props.InvokeCostNs
+func (s *System) account(n *node, k int64) {
+	s.stats.Invocations += k
+	s.stats.VirtualNs += k * s.props.InvokeCostNs
 	if n.dom.handle.Trusted() {
-		s.stats.TrustedInvocations++
+		s.stats.TrustedInvocations += k
 	}
 }
 

@@ -115,8 +115,9 @@ func (s *System) SetTracer(t Tracer) {
 // and asset span it causes — while an unsampled request runs the untraced
 // fast path throughout. Continuations of a remote trace (DeliverSpan with a
 // non-zero parent) always honor the upstream machine's decision, so
-// distributed traces never arrive half-stitched. n <= 1 restores the
-// default of tracing every request.
+// distributed traces never arrive half-stitched. A batch frame (see
+// BeginBatch) is one request here: it is traced whole or not at all. n <= 1
+// restores the default of tracing every request.
 func (s *System) SetTraceSampling(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -125,6 +126,18 @@ func (s *System) SetTraceSampling(n int) {
 	}
 	s.sampleEvery = uint64(n)
 	s.sampleCtr = 0
+}
+
+// headSampled makes the head-sampling decision for a request delivered
+// with the given parent. Only a trace root rolls: continuations of a remote
+// trace (non-zero parent) always honor the upstream decision. Caller holds
+// s.mu and has a tracer installed.
+func (s *System) headSampled(parent Span) bool {
+	if parent != (Span{}) || s.sampleEvery <= 1 {
+		return true
+	}
+	s.sampleCtr++
+	return s.sampleCtr%s.sampleEvery == 0
 }
 
 // newSpan allocates the next span beneath parent; a zero parent starts a

@@ -5,9 +5,9 @@
 // IDs (a batch pipelines like any other call), the budget field (one
 // deadline governs the whole batch), and the taint field (the chain's
 // labels apply to every reading it carries). The exporter unpacks the
-// batch server-side, fans the readings into the component one by one, and
-// seals a single reply carrying per-reading status — N invocations, two
-// AEAD passes total instead of 2N.
+// batch server-side, admits the whole frame into the component once (see
+// runBatch), runs its readings in order, and seals a single reply carrying
+// per-reading status — N invocations, two AEAD passes total instead of 2N.
 //
 // Wire format of the batch payload (all integers big-endian):
 //
@@ -36,7 +36,6 @@ package distributed
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"lateral/internal/core"
 )
@@ -134,9 +133,10 @@ func cutBatchCount(b []byte) (int, []byte, error) {
 	return n, b, nil
 }
 
-// cutReading parses one reading off the front of b. The returned op bytes
-// and data alias b; ops, when non-nil, interns the op string.
-func cutReading(b []byte, ops *interner) (op string, data, rest []byte, err error) {
+// cutReading parses one reading off the front of b. The returned data
+// aliases b; the op string never does: it is prev when the bytes match the
+// previous reading's op, else interned by ops (when non-nil) or copied.
+func cutReading(b []byte, prev string, ops *interner) (op string, data, rest []byte, err error) {
 	if len(b) < 2 {
 		return "", nil, nil, fmt.Errorf("truncated reading op length: %w", ErrTransport)
 	}
@@ -148,11 +148,7 @@ func cutReading(b []byte, ops *interner) (op string, data, rest []byte, err erro
 	if on > 0 && b[0] == 0 {
 		return "", nil, nil, fmt.Errorf("reserved op in batch: %w", ErrTransport)
 	}
-	if ops != nil {
-		op = ops.intern(b[:on])
-	} else {
-		op = string(b[:on])
-	}
+	op = ops.internNext(prev, b[:on])
 	b = b[on:]
 	if len(b) < 2 {
 		return "", nil, nil, fmt.Errorf("truncated reading data length: %w", ErrTransport)
@@ -166,18 +162,19 @@ func cutReading(b []byte, ops *interner) (op string, data, rest []byte, err erro
 }
 
 // DecodeBatch parses one batch payload (see AppendBatch). The readings'
-// ops and data alias b. Truncated payloads, out-of-range counts, reserved
-// ops, and trailing bytes are all rejected with ErrTransport.
+// data alias b; their ops are copies, shared by consecutive readings with
+// the same op. Truncated payloads, out-of-range counts, reserved ops, and
+// trailing bytes are all rejected with ErrTransport.
 func DecodeBatch(b []byte) ([]Reading, error) {
 	n, rest, err := cutBatchCount(b)
 	if err != nil {
 		return nil, err
 	}
 	readings := make([]Reading, 0, n)
+	var op string
 	for i := 0; i < n; i++ {
-		var op string
 		var data []byte
-		op, data, rest, err = cutReading(rest, nil)
+		op, data, rest, err = cutReading(rest, op, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -201,12 +198,11 @@ func ReencodeBatch(b []byte) ([]byte, error) {
 	return AppendBatch(make([]byte, 0, len(b)), readings), nil
 }
 
-// executeBatch unpacks one decrypted batch invocation, fans its readings
-// into the exported component one at a time (the per-component handler
-// lock serializes them regardless), and seals a single reply carrying
-// per-reading status. A malformed batch payload fails the whole frame
-// with statusErr; once the payload parses, each reading succeeds or fails
-// on its own. The caller releases j's pooled buffer.
+// executeBatch unpacks one decrypted batch invocation, admits the whole
+// frame into the exported component once (runBatch), and seals a single
+// reply carrying per-reading status. A malformed batch payload fails the
+// whole frame with statusErr; once the payload parses, each reading
+// succeeds or fails on its own. The caller releases j's pooled buffer.
 func (e *Exporter) executeBatch(j *job) error {
 	msg, fp, herr := e.runBatch(j.req)
 	err := e.reply(j.ss, j.from, j.req, msg, herr)
@@ -220,41 +216,47 @@ func (e *Exporter) executeBatch(j *job) error {
 // into a pooled buffer (returned for the caller to release after the reply
 // is sealed); a malformed payload returns the whole-frame error instead.
 // The single-record path (executeBatch) and coalesced sub-frames
-// (executeSub) share it.
+// (executeSub) share it. The frame enters the component through one
+// core.Batch: an unbudgeted, untraced frame holds the component's slot
+// from its first reading to its last, so a concurrent caller of the
+// component waits for the whole frame; any other frame delivers reading
+// by reading, exactly as single calls do.
 func (e *Exporter) runBatch(req Request) (core.Message, *[]byte, error) {
 	n, rest, err := cutBatchCount(req.Data)
 	if err != nil {
 		return core.Message{}, nil, err
 	}
-	var deadline time.Time
+	env := core.Envelope{Span: req.Span, Taint: req.Taint}
 	if req.Budget > 0 {
 		// One budget governs the whole batch: every reading is delivered
 		// against the same re-anchored deadline, so a batch cannot buy
 		// more server time than the single call it replaces.
-		deadline = e.clock().Add(req.Budget)
+		env.Deadline = e.clock().Add(req.Budget)
 	}
+	batch, berr := e.sys.BeginBatch(e.target, env)
+	defer batch.End()
 	fp := getBuf()
 	out := append((*fp)[:0], byte(n>>8), byte(n))
+	var op string
 	for i := 0; i < n; i++ {
-		var op string
 		var data []byte
-		op, data, rest, err = cutReading(rest, &e.ops)
+		op, data, rest, err = cutReading(rest, op, &e.ops)
 		if err != nil {
 			putBuf(fp, out)
 			return core.Message{}, nil, err
 		}
-		env := core.Envelope{
-			Msg:   core.Message{Op: op, Data: data},
-			Span:  req.Span,
-			Taint: req.Taint,
+		var reply core.Message
+		herr := berr
+		if herr == nil {
+			msg := core.Message{Op: op, Data: data}
+			if !env.Deadline.IsZero() {
+				// Guarded delivery clones the payload, same as execute: the
+				// watchdog may abandon the handler mid-read of a pooled
+				// buffer.
+				msg.Data = msg.CloneData()
+			}
+			reply, herr = batch.Deliver(msg)
 		}
-		if !deadline.IsZero() {
-			// Guarded delivery clones the payload, same as execute: the
-			// watchdog may abandon the handler mid-read of a pooled buffer.
-			env.Deadline = deadline
-			env.Msg.Data = env.Msg.CloneData()
-		}
-		reply, herr := e.sys.DeliverEnvelope(e.target, env)
 		out = appendBatchEntry(out, reply, herr)
 	}
 	if len(rest) != 0 {
@@ -328,7 +330,9 @@ func (s *Stub) HandleBatch(env core.Envelope, readings []Reading, results []Batc
 }
 
 // decodeBatchReply parses the batch reply payload into per-reading
-// results. OK payload data aliases b (the owned reply copy Handle made).
+// results. OK payload data aliases b (the owned reply copy Handle made);
+// an OK op is the previous OK entry's op when the bytes match, else
+// interned, so it never aliases b.
 func (s *Stub) decodeBatchReply(b []byte, want int, results []BatchResult) ([]BatchResult, error) {
 	if len(b) < 2 {
 		return results, fmt.Errorf("truncated batch reply count: %w", ErrTransport)
@@ -338,6 +342,7 @@ func (s *Stub) decodeBatchReply(b []byte, want int, results []BatchResult) ([]Ba
 		return results, fmt.Errorf("batch reply carries %d entries for %d readings: %w", n, want, ErrTransport)
 	}
 	rest := b[2:]
+	var op string
 	for i := 0; i < n; i++ {
 		if len(rest) < 3 {
 			return results, fmt.Errorf("truncated batch reply entry: %w", ErrTransport)
@@ -352,11 +357,12 @@ func (s *Stub) decodeBatchReply(b []byte, want int, results []BatchResult) ([]Ba
 		rest = rest[bn:]
 		switch status {
 		case statusOK:
-			op, data, err := decodeCallInto(body, &s.ops)
+			next, data, err := decodeCallInto(body, op, &s.ops)
 			if err != nil {
 				results = append(results, BatchResult{Err: err})
 				continue
 			}
+			op = next
 			m := core.Message{Op: op}
 			if len(data) > 0 {
 				m.Data = data

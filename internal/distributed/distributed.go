@@ -97,6 +97,20 @@ type interner struct {
 
 const maxInternedOps = 256
 
+// internNext returns the op string for b in a run of decoded entries:
+// prev — the previous entry's op — when the bytes match, without touching
+// the map or its lock; otherwise the interned string, or a plain copy on a
+// nil interner. Either way the result never aliases b.
+func (i *interner) internNext(prev string, b []byte) string {
+	switch {
+	case string(b) == prev:
+		return prev
+	case i == nil:
+		return string(b)
+	}
+	return i.intern(b)
+}
+
 func (i *interner) intern(b []byte) string {
 	i.mu.Lock()
 	s, ok := i.m[string(b)] // compiler-recognized no-alloc lookup
@@ -125,12 +139,14 @@ func encodeCall(op string, data []byte) []byte {
 }
 
 func decodeCall(b []byte) (string, []byte, error) {
-	return decodeCallInto(b, nil)
+	return decodeCallInto(b, "", nil)
 }
 
 // decodeCallInto is decodeCall with an optional interner for the op
-// string. The returned data slice aliases b.
-func decodeCallInto(b []byte, ops *interner) (string, []byte, error) {
+// string; prev is the op of the previous entry in a run, reused when the
+// bytes match (see interner.internNext). The returned data slice aliases
+// b.
+func decodeCallInto(b []byte, prev string, ops *interner) (string, []byte, error) {
 	if len(b) < 2 {
 		return "", nil, fmt.Errorf("short call frame: %w", ErrTransport)
 	}
@@ -138,13 +154,7 @@ func decodeCallInto(b []byte, ops *interner) (string, []byte, error) {
 	if len(b) < 2+n {
 		return "", nil, fmt.Errorf("truncated op: %w", ErrTransport)
 	}
-	var op string
-	if ops != nil {
-		op = ops.intern(b[2 : 2+n])
-	} else {
-		op = string(b[2 : 2+n])
-	}
-	return op, b[2+n:], nil
+	return ops.internNext(prev, b[2:2+n]), b[2+n:], nil
 }
 
 // PingOp is the reserved liveness-probe operation. The Exporter answers
@@ -331,7 +341,7 @@ func decodeRequestInto(b []byte, req *Request, ops *interner) error {
 		}
 	}
 	var err error
-	req.Op, req.Data, err = decodeCallInto(b, ops)
+	req.Op, req.Data, err = decodeCallInto(b, "", ops)
 	return err
 }
 
@@ -822,8 +832,9 @@ func (e *Exporter) execute(j *job) error {
 		return e.executeSub(j)
 	}
 	if j.req.Op == BatchOp {
-		// Batched ingestion: unpack the readings and fan them into the
-		// component, one sealed reply for the lot (see batch.go).
+		// Batched ingestion: unpack the readings and run them in the
+		// component as one frame, one sealed reply for the lot (see
+		// batch.go).
 		err := e.executeBatch(j)
 		putBuf(j.buf, j.raw)
 		return err
@@ -1629,7 +1640,7 @@ func (s *Stub) decodeReply(b []byte) result {
 	case statusErr:
 		return result{err: fmt.Errorf("%w: %s", ErrRemote, b[1:])}
 	}
-	op, data, err := decodeCallInto(b[1:], &s.ops)
+	op, data, err := decodeCallInto(b[1:], "", &s.ops)
 	if err != nil {
 		return result{err: err}
 	}

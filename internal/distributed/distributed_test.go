@@ -398,6 +398,7 @@ type spanSink struct {
 	mu    sync.Mutex
 	spans []core.Span
 	kinds []core.SpanKind
+	ops   []string
 }
 
 func (s *spanSink) SpanStart(core.Span, core.SpanInfo, time.Time) {}
@@ -406,6 +407,7 @@ func (s *spanSink) SpanEnd(sp core.Span, info core.SpanInfo, _ time.Time, _ time
 	s.mu.Lock()
 	s.spans = append(s.spans, sp)
 	s.kinds = append(s.kinds, info.Kind)
+	s.ops = append(s.ops, info.Op)
 	s.mu.Unlock()
 }
 
