@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify build vet test race-hotpath race cover bench bench-smoke bench-baseline experiments fuzz cluster-soak stall-soak sim-soak audit-soak policy-soak epoch-soak shard-soak coalesce-soak examples clean
+.PHONY: all verify build vet test race-hotpath race cover bench bench-smoke bench-baseline experiments fuzz cluster-soak stall-soak soak examples clean
 
 all: build vet test race-hotpath
 
@@ -71,8 +71,9 @@ bench-smoke:
 # Regenerate the checked-in baselines: E22 pipelining (BENCH_e22.json),
 # E23 sharded fleet (BENCH_e23.json), E26 rolling replace
 # (BENCH_e26.json), and E27 frame coalescing (BENCH_e27.json). Wire
-# rounds, frame/record counts, allocs/op, and epoch/healthy counts are
-# machine-independent; ops/sec and p99 are not.
+# rounds, E23 frame counts, and epoch/healthy counts are deterministic.
+# E27's coalesced sealed-record counts are not: they depend on goroutine
+# scheduling and vary between runs. Neither are ops/sec and p99.
 bench-baseline:
 	$(GO) run ./cmd/lateralbench -e22-json BENCH_e22.json
 	$(GO) run ./cmd/lateralbench -e23-json BENCH_e23.json
@@ -107,63 +108,23 @@ stall-soak:
 	$(GO) test -race -count=5 -run TestE20StallContainment ./internal/experiments
 	$(GO) test -race -count=5 -run 'TestWatchdog|TestFanInBoundedAdmission' ./internal/core
 
-# Deterministic simulation soak: many explorer seeds over the mixed-fault
-# schedule, with all four invariants checked after every step, then the
-# mutation smoke test under the race detector. Replay a failing seed with
-#   go test ./internal/simtest -run TestExploreSeeds -simtest.seed=<seed>
-sim-soak:
-	$(GO) test -count=1 ./internal/simtest -run TestExploreSeeds -simtest.soak=500
+# The soak matrix: every TestSoak row (explore, audit, policy, epoch,
+# shard, combined, coalesce) over 500 seeds with all ten invariants
+# checked, then each feature's pinned tests and experiments under the race
+# detector. A failing seed prints the command that replays it alone:
+#   go test ./internal/simtest -run 'TestSoak/<row>$' -simtest.seed=<seed>
+soak:
+	$(GO) test -count=1 ./internal/simtest -run TestSoak -simtest.soak=500
 	$(GO) test -race -count=1 -run 'TestMutationIsCaught|TestExploreReplayIsByteIdentical' ./internal/simtest
 	$(GO) test -race -count=3 -run TestE21Simulation ./internal/experiments
-
-# Fleet black-box soak: 500 seeds where a journal-tamper fault mutates a
-# recorded entry mid-run — the auditor invariant must detect every one —
-# plus the exactly-once quarantine journaling race test and the E24
-# auditor-replay experiment under the race detector.
-audit-soak:
-	$(GO) test -count=1 ./internal/simtest -run TestAuditTamperSoak -simtest.soak=500
 	$(GO) test -race -count=3 -run TestQuarantineJournaledExactlyOnce ./internal/cluster
 	$(GO) test -race -count=1 -run TestE24 ./internal/experiments
-
-# Dynamic-membership soak: 500 seeds where the fault schedule includes
-# join/leave transitions — the eighth invariant (no call completes against
-# an evicted or stale-keyed replica) must hold on every seed — plus the
-# epoch-schedule unit and the E26 rolling-replace experiment under the
-# race detector.
-epoch-soak:
-	$(GO) test -count=1 ./internal/simtest -run TestEpochSoak -simtest.soak=500
 	$(GO) test -race -count=1 -run TestEpochScheduleTransitions ./internal/simtest
 	$(GO) test -race -count=1 -run 'TestE26RollingReplace|TestE26BaselinePhases' ./internal/experiments
-
-# Sharded-fabric soak: 500 seeds where the fault schedule splits and
-# merges shard cells under crashes, duplication, and skew while single
-# and batched readings stream through the router — the ninth invariant
-# (every reading routes where the current epoch's shard map assigns it,
-# none double-counted across a rebalance) must hold on every seed — plus
-# the pinned transition/mutation/codec tests and the E23 million-client
-# experiment under the race detector.
-shard-soak:
-	$(GO) test -count=1 ./internal/simtest -run TestShardSoak -simtest.soak=500
 	$(GO) test -race -count=1 -run 'TestShardScheduleTransitions|TestShardCheckerCatchesMisrouting|TestShardFaultCodecRoundTrips' ./internal/simtest
 	$(GO) test -race -count=1 -run TestE23ShardedFleet ./internal/experiments
-
-# Coalesced-record soak: 500 seeds of concurrent callers racing their
-# request frames into shared sealed records on every replica stub while
-# one-shot coalesce faults drop or tamper individual sub-frames — the
-# tenth invariant (every sub-frame of a coalesced record completes
-# exactly once or its caller sees a typed error) must hold at every
-# quiesce and every caller outcome must be typed — plus the fault-codec
-# and checker-mutation pins under the race detector.
-coalesce-soak:
-	$(GO) test -count=1 ./internal/simtest -run TestCoalesceSoak -simtest.soak=500
-	$(GO) test -race -count=1 -run 'TestCoalesceSoak|TestCoalesceFaultCodecRoundTrips|TestCoalesceCheckerCatchesMisaccounting' ./internal/simtest
-
-# Chain-aware policy soak: 500 seeds where the explorer's operation mix
-# includes mosaic exfiltration attempts under the full mixed-fault
-# schedule — the no-tainted-egress invariant must hold on every seed —
-# plus the E25 confused-deputy experiment under the race detector.
-policy-soak:
-	$(GO) test -count=1 ./internal/simtest -run TestPolicyExfilSoak -simtest.soak=500
+	$(GO) test -race -count=1 -run 'TestSoak/coalesce$$' ./internal/simtest
+	$(GO) test -race -count=1 -run 'TestCoalesceFaultCodecRoundTrips|TestCoalesceCheckerCatchesMisaccounting' ./internal/simtest
 	$(GO) test -race -count=1 -run TestE25 ./internal/experiments
 
 examples:

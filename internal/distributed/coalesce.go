@@ -255,14 +255,13 @@ type WindowStats struct {
 	State string
 }
 
-// WindowController is the adaptive depth controller shared by the stub's
-// frame coalescer and the shard layer's ingestion batcher. It replaces a
-// fixed depth knob with AIMD: saturated flushes grow the window (doubling
-// while a backlog proves arrivals outpace it — slow start — then by one),
-// and a shed — a deadline or ErrOverloaded verdict — halves it. The
-// controller never initiates work; it only sizes the batches the callers
-// were going to seal anyway, so a window larger than the offered load
-// costs nothing.
+// WindowController is the adaptive depth controller that sizes the stub's
+// coalescing window. It replaces a fixed depth knob with AIMD: saturated
+// flushes grow the window (doubling while a backlog proves arrivals
+// outpace it — slow start — then by one), and a shed — a deadline or
+// ErrOverloaded verdict — halves it. The controller never initiates work;
+// it only sizes the batches the callers were going to seal anyway, so a
+// window larger than the offered load costs nothing.
 type WindowController struct {
 	mu        sync.Mutex
 	win       int

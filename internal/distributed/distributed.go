@@ -470,7 +470,6 @@ type Exporter struct {
 	identity *cryptoutil.Signer
 	rand     *cryptoutil.PRNG
 	clock    func() time.Time
-	workers  int
 
 	// epoch is the fleet config epoch the exporter currently serves.
 	// Zero (the default) leaves admission ungated — any hello is
@@ -557,19 +556,14 @@ type ExportConfig struct {
 	// (default time.Now). Simulation harnesses inject a virtual clock so
 	// remote deadlines stay on the same timeline as the hosting system's.
 	Clock func() time.Time
-
-	// Workers bounds concurrent component dispatch when one Serve pass
-	// finds several requests queued (default DefaultWorkers). A batch of
-	// one is always executed inline on the serving goroutine. The exported
-	// component itself stays serialized by core's per-component handler
-	// lock; workers buy concurrency across decrypt/seal and across
-	// colocated targets, and keep one slow request from convoying the
-	// replies behind it.
-	Workers int
 }
 
-// DefaultWorkers is the dispatch fan-out used when ExportConfig.Workers is
-// unset.
+// DefaultWorkers bounds concurrent component dispatch when one Serve pass
+// finds several requests queued. A batch of one is always executed inline
+// on the serving goroutine. The exported component itself stays
+// serialized by core's per-component handler lock; workers buy
+// concurrency across decrypt/seal and across colocated targets, and keep
+// one slow request from convoying the replies behind it.
 const DefaultWorkers = 4
 
 // smallBatch is the backlog size at or below which serveBatch dispatches
@@ -589,9 +583,6 @@ func NewExporter(cfg ExportConfig) (*Exporter, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = DefaultWorkers
-	}
 	return &Exporter{
 		sys:      cfg.System,
 		target:   cfg.Component,
@@ -599,7 +590,6 @@ func NewExporter(cfg ExportConfig) (*Exporter, error) {
 		identity: cfg.Identity,
 		rand:     cfg.Rand,
 		clock:    cfg.Clock,
-		workers:  cfg.Workers,
 		sessions: make(map[string]*sessState),
 		pendings: make(map[string]*pendState),
 	}, nil
@@ -655,7 +645,7 @@ func (e *Exporter) evidence(transcript [32]byte) ([]byte, error) {
 // flights establish sessions, record flights carry invocations. A single
 // queued datagram — the lockstep test and simulation shape — is handled
 // inline and allocation-free; a deeper backlog (a pipelining client) is
-// decrypted in arrival order and dispatched across at most Workers
+// decrypted in arrival order and dispatched across at most DefaultWorkers
 // goroutines, with all replies on the wire before Serve returns. Tests and
 // the examples call it after each client step; a real deployment would
 // loop it.
@@ -731,7 +721,7 @@ func (e *Exporter) dispatch(jobsp *[]*job) {
 	jobs := *jobsp
 	switch {
 	case len(jobs) == 0:
-	case len(jobs) <= smallBatch || e.workers == 1:
+	case len(jobs) <= smallBatch:
 		// A shallow batch executes inline: spawning one goroutine per job
 		// costs more than it overlaps (the component handler is serialized
 		// by core regardless), and it was the allocs/op bump pipelined
@@ -742,7 +732,7 @@ func (e *Exporter) dispatch(jobsp *[]*job) {
 			jobPool.Put(j)
 		}
 	default:
-		n := e.workers
+		n := DefaultWorkers
 		if n > len(jobs) {
 			n = len(jobs)
 		}

@@ -89,7 +89,8 @@ func E21Simulation() (Table, error) {
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("invariants checked after every step: %d per run", 5),
-		"replay any failure with: go test ./internal/simtest/ -run TestExploreSeeds -simtest.seed=<seed>",
+		// Round 2 is TestSoak's policy row cell for cell, so that row replays it.
+		"replay any mixed-fault failure (24 ops over DefaultSchedule) with: go test ./internal/simtest -run 'TestSoak/policy$' -simtest.seed=<seed>",
 	)
 	return t, nil
 }

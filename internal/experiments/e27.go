@@ -143,8 +143,11 @@ func E27Coalescing() (Table, error) {
 // E27Point is one row of the checked-in BENCH_e27.json baseline: the
 // coalesce-window curve at depth 64 — sealed records (AEAD passes),
 // sub-frames per coalesced record, wire rounds, throughput, p99, and
-// allocations. Records, rounds, and allocs/op are machine-independent;
-// ops/sec and p99 are wall-clock.
+// allocations. Wire rounds are deterministic. Sealed records are not:
+// how many callers one flush gathers depends on goroutine scheduling, so
+// the coalesced rows' record counts (and sub-frames per record and
+// allocs/op with them) vary from run to run and with GOMAXPROCS. ops/sec
+// and p99 are wall-clock.
 type E27Point struct {
 	Window        string  `json:"coalesce_window"`
 	Depth         int     `json:"depth"`

@@ -107,10 +107,6 @@ type HarnessConfig struct {
 	// proves the checkers catch.
 	Buggy bool
 
-	// Skew offsets the virtual clock's start (FaultSkew arrives through
-	// schedules; this models a deployment born skewed).
-	Skew time.Duration
-
 	// HealthInterval enables the pool's piggybacked health rounds (0 keeps
 	// them off; the explorer heals via FaultHeal's explicit CheckNow). The
 	// interval elapses in virtual time — tests advance the clock to
@@ -146,7 +142,7 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
 	}
-	clk := NewClock(cfg.Skew)
+	clk := NewClock(0)
 	h := &Harness{
 		Clock:   clk,
 		Net:     netsim.New(),

@@ -7,37 +7,6 @@ import (
 	"lateral/internal/journal"
 )
 
-// TestShardSoak is the sharded-fabric soak: across many seeds, the shard
-// schedule splits and merges cells under crashes, duplication,
-// congestion, and clock skew while the operation mix drives single
-// readings and batch frames through the router — and every invariant,
-// including the ninth (each reading routed where the current epoch's
-// shard map assigns it, none double-counted across a rebalance), must
-// hold on every seed. `make shard-soak` runs this over 500 seeds
-// (-simtest.soak); plain `go test` covers a smaller batch.
-func TestShardSoak(t *testing.T) {
-	seeds := 25
-	if *soakFlag > 0 {
-		seeds = *soakFlag
-	} else if testing.Short() {
-		seeds = 5
-	}
-	for seed := 1; seed <= seeds; seed++ {
-		res, err := Explore(ExploreConfig{
-			Seed: uint64(seed), Ops: 30, Replicas: 3,
-			Sharded:  true,
-			Schedule: ShardSchedule(3),
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if res.Failed() {
-			t.Fatalf("seed %d violated invariants (replay with -simtest.seed=%d):\n%s",
-				seed, seed, res.TraceBytes())
-		}
-	}
-}
-
 // TestShardScheduleTransitions pins the schedule's effect on one seed:
 // splits and merges land as shard-map epochs, refused transitions are
 // no-ops, traffic flows across every rebalance, and the journal's

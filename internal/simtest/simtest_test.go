@@ -2,17 +2,11 @@ package simtest
 
 import (
 	"errors"
-	"flag"
 	"slices"
 	"testing"
 	"time"
 
 	"lateral/internal/core"
-)
-
-var (
-	seedFlag = flag.Uint64("simtest.seed", 0, "replay one explorer seed verbosely and exit")
-	soakFlag = flag.Int("simtest.soak", 0, "explore this many extra seeds (sim-soak target)")
 )
 
 // TestClockTimers pins the virtual clock's contract: timers fire in
@@ -152,59 +146,31 @@ func TestHarnessBasics(t *testing.T) {
 }
 
 // TestExploreReplayIsByteIdentical is the determinism acceptance
-// criterion: the same seed and schedule reproduce a byte-identical event
-// trace across two independent runs.
+// criterion: for every explorer row of the soak matrix, the same seed and
+// schedule reproduce a byte-identical event trace across two independent
+// runs — the contract behind each row's -simtest.seed replay.
 func TestExploreReplayIsByteIdentical(t *testing.T) {
-	cfg := ExploreConfig{Seed: 42, Ops: 30, Replicas: 3, Schedule: DefaultSchedule(3)}
-	a, err := Explore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Explore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Failed() {
-		t.Fatalf("seed 42 violated invariants:\n%s", a.TraceBytes())
-	}
-	if a.TraceBytes() != b.TraceBytes() {
-		t.Fatalf("trace not byte-identical across runs:\n--- run 1\n%s--- run 2\n%s",
-			a.TraceBytes(), b.TraceBytes())
-	}
-}
-
-// TestExploreSeeds sweeps a batch of random seeds (more under
-// -simtest.soak) over the mixed-fault schedule; every invariant must hold
-// on every seed. With -simtest.seed=N only that seed runs and its full
-// trace is printed — the replay workflow for a failure someone found in
-// soak or CI.
-func TestExploreSeeds(t *testing.T) {
-	if *seedFlag != 0 {
-		res, err := Explore(ExploreConfig{Seed: *seedFlag, Ops: 30, Replicas: 3, Schedule: DefaultSchedule(3)})
-		if err != nil {
-			t.Fatal(err)
+	for _, row := range soakRows {
+		if row.explore == nil {
+			continue
 		}
-		t.Logf("replay of seed %d:\n%s", *seedFlag, res.TraceBytes())
-		if res.Failed() {
-			t.Fatalf("seed %d: %d invariant violations", *seedFlag, len(res.Violations))
-		}
-		return
-	}
-	seeds := 12
-	if *soakFlag > 0 {
-		seeds = *soakFlag
-	} else if testing.Short() {
-		seeds = 4
-	}
-	for seed := 1; seed <= seeds; seed++ {
-		res, err := Explore(ExploreConfig{Seed: uint64(seed), Ops: 30, Replicas: 3, Schedule: DefaultSchedule(3)})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if res.Failed() {
-			t.Fatalf("seed %d violated invariants (replay with -simtest.seed=%d):\n%s",
-				seed, seed, res.TraceBytes())
-		}
+		t.Run(row.name, func(t *testing.T) {
+			a, err := Explore(row.explore(42))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Explore(row.explore(42))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Failed() {
+				t.Fatalf("seed 42 violated invariants:\n%s", a.TraceBytes())
+			}
+			if a.TraceBytes() != b.TraceBytes() {
+				t.Fatalf("trace not byte-identical across runs:\n--- run 1\n%s--- run 2\n%s",
+					a.TraceBytes(), b.TraceBytes())
+			}
+		})
 	}
 }
 
