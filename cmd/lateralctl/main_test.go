@@ -126,9 +126,9 @@ func goldenMetrics() *telemetry.Metrics {
 	m.StubOrphan("store")
 
 	// Frame coalescing for the coalesce table: two shared records — one
-	// pairing two racing calls, one packing four — after the adaptive
-	// controller grew its window to 8. aead-saved renders as 4: six
-	// sub-frames sealed with two AEAD passes.
+	// pairing two racing calls, one packing four — and a window gauge of 8
+	// (still an exposed family, see Metrics.StubCoalesceWindow). aead-saved
+	// renders as 4: six sub-frames sealed with two AEAD passes.
 	m.StubCoalesce("store", 2)
 	m.StubCoalesce("store", 4)
 	m.StubCoalesceWindow("store", 8)

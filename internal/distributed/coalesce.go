@@ -2,11 +2,12 @@
 //
 // Pipelining (wire v3) lets concurrent callers share wire *rounds*, but
 // each call still pays its own AEAD pass. Coalescing amortizes the crypto
-// too: senders parked behind the flush leader enqueue plaintext sub-frames,
-// and the leader drains the queue and seals up to a window of them as a
-// single coalesced record — one AEAD pass, one auth tag, N requests. The
-// exporter unseals once, fans the sub-frames through its existing worker
-// pool, and coalesces the replies the same way on the return path.
+// too: concurrent senders enqueue plaintext sub-frames, and the next flush
+// seals up to a window of them as a single coalesced record — one AEAD
+// pass, one auth tag, N requests. Flushes happen at round boundaries only
+// (see coalescer). The exporter unseals once, fans the sub-frames through
+// its existing worker pool, and coalesces the replies the same way on the
+// return path.
 //
 // Wire format of a coalesced record (all integers big-endian):
 //
@@ -42,10 +43,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lateral/internal/core"
 	"lateral/internal/netsim"
@@ -56,12 +55,12 @@ import (
 const CoalMagic = 0xC3
 
 // MaxCoalesce bounds the sub-frames one coalesced record may carry — the
-// decode-side cap, above any window a controller will pick.
+// decode-side cap, above the window the stub seals at.
 const MaxCoalesce = 256
 
-// DefaultCoalesceMax is the adaptive window controller's default ceiling
-// when StubConfig.CoalesceMax is unset.
-const DefaultCoalesceMax = 64
+// coalesceWindow is the most sub-frames the stub seals into one record; a
+// flush of a longer queue seals it in chunks of this size.
+const coalesceWindow = 64
 
 // IsCoalesced reports whether a datagram payload is a coalesced record.
 func IsCoalesced(b []byte) bool { return len(b) > 0 && b[0] == CoalMagic }
@@ -82,7 +81,7 @@ func AppendCoalHeader(dst []byte, corrs []uint64) []byte {
 // cutCoalHeader parses and validates the cleartext header, returning the
 // header bytes (the sealed record's extra AD), the rest (the record), and
 // the sub-frame count. Correlation IDs must be strictly increasing — the
-// canonical order the flush leader emits — so a duplicated or shuffled
+// canonical order every flush emits — so a duplicated or shuffled
 // table never parses and no sub-frame can be accounted twice.
 func cutCoalHeader(b []byte) (hdr, rest []byte, n int, err error) {
 	if len(b) < 3 || b[0] != CoalMagic {
@@ -225,298 +224,111 @@ type CoalesceMonitor interface {
 	// StubCoalesce records one coalesced record sealed carrying subframes
 	// sub-frames (always ≥ 2; single flushes seal plain records).
 	StubCoalesce(stub string, subframes int)
-	// StubCoalesceWindow reports the adaptive controller's window after it
-	// changed.
-	StubCoalesceWindow(stub string, window int)
 }
 
 type nopCoalesceMonitor struct{}
 
-func (nopCoalesceMonitor) StubCoalesce(string, int)       {}
-func (nopCoalesceMonitor) StubCoalesceWindow(string, int) {}
+func (nopCoalesceMonitor) StubCoalesce(string, int) {}
 
-// WindowStats is a snapshot of one adaptive window controller.
-type WindowStats struct {
-	// Window is the current coalescing window.
-	Window int
-	// Grows and Shrinks count AIMD adaptations: additive/slow-start
-	// increases and multiplicative (halving) decreases.
-	Grows   uint64
-	Shrinks uint64
-	// Flushes and SubFrames count observed drains and the items they
-	// carried; SubFrames/Flushes is the achieved average window.
-	Flushes   uint64
-	SubFrames uint64
-	// RateHz is the observed arrival rate (items per second) over the
-	// controller's lifetime, measured on its injected clock.
-	RateHz float64
-	// State names the last adaptation: "idle" (nothing observed yet),
-	// "grow", "shrink", or "steady".
-	State string
-}
-
-// WindowController is the adaptive depth controller that sizes the stub's
-// coalescing window. It replaces a fixed depth knob with AIMD: saturated
-// flushes grow the window (doubling while a backlog proves arrivals
-// outpace it — slow start — then by one), and a shed — a deadline or
-// ErrOverloaded verdict — halves it. The controller never initiates work;
-// it only sizes the batches the callers were going to seal anyway, so a
-// window larger than the offered load costs nothing.
-type WindowController struct {
-	mu        sync.Mutex
-	win       int
-	max       int
-	grows     uint64
-	shrinks   uint64
-	flushes   uint64
-	subFrames uint64
-	state     string
-
-	clock func() time.Time
-	start time.Time
-	last  time.Time
-}
-
-// NewWindowController builds a controller with window ceiling max (0 means
-// DefaultCoalesceMax; values above MaxCoalesce are clamped) starting at a
-// window of one. clock defaults to time.Now; simulation and unit tests
-// inject a virtual clock, which is what makes the observed arrival rate
-// deterministic.
-func NewWindowController(max int, clock func() time.Time) *WindowController {
-	if max <= 0 {
-		max = DefaultCoalesceMax
-	}
-	if max > MaxCoalesce {
-		max = MaxCoalesce
-	}
-	if clock == nil {
-		clock = time.Now
-	}
-	return &WindowController{win: 1, max: max, state: "idle", clock: clock}
-}
-
-// Window returns the current coalescing window.
-func (c *WindowController) Window() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.win
-}
-
-// ObserveFlush records one drain of drained items that left backlog items
-// still queued, and adapts the window: a saturated flush with a backlog
-// doubles it (arrivals demonstrably outpace the window), a merely
-// saturated flush adds one, an unsaturated flush changes nothing (the
-// window only shrinks on shed, never on a quiet period — idle callers
-// must not have to re-earn their depth). Returns the window and whether
-// it changed.
-func (c *WindowController) ObserveFlush(drained, backlog int) (win int, changed bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.clock()
-	if c.flushes == 0 {
-		c.start = now
-	}
-	c.last = now
-	c.flushes++
-	c.subFrames += uint64(drained)
-	old := c.win
-	switch {
-	case drained >= c.win && backlog > 0 && c.win < c.max:
-		c.win *= 2
-		if c.win > c.max {
-			c.win = c.max
-		}
-	case drained >= c.win && c.win < c.max:
-		c.win++
-	}
-	if c.win != old {
-		c.grows++
-		c.state = "grow"
-	} else if c.state != "shrink" || drained < old {
-		c.state = "steady"
-	}
-	return c.win, c.win != old
-}
-
-// ObserveShed reacts to a shed verdict — a call resolved with ErrDeadline
-// or ErrOverloaded — by halving the window (multiplicative decrease, floor
-// one). Returns the window and whether it changed.
-func (c *WindowController) ObserveShed() (win int, changed bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old := c.win
-	c.win /= 2
-	if c.win < 1 {
-		c.win = 1
-	}
-	if c.win != old {
-		c.shrinks++
-	}
-	c.state = "shrink"
-	return c.win, c.win != old
-}
-
-// Stats snapshots the controller.
-func (c *WindowController) Stats() WindowStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := WindowStats{
-		Window:    c.win,
-		Grows:     c.grows,
-		Shrinks:   c.shrinks,
-		Flushes:   c.flushes,
-		SubFrames: c.subFrames,
-		State:     c.state,
-	}
-	if elapsed := c.last.Sub(c.start); elapsed > 0 {
-		s.RateHz = float64(c.subFrames) / elapsed.Seconds()
-	}
-	return s
-}
-
-// pendingSub is one request frame queued behind the flush leader: the
-// caller's correlation ID and waiter (so a failed flush can resolve it),
-// the session generation it was issued under (so a flush never seals a
-// frame onto a session its caller was already broadcast off of), and the
-// pooled frame buffer holding the encoded request.
+// pendingSub is one request frame queued for the next flush: the caller's
+// correlation ID and waiter (so a failed flush can resolve it), the session
+// generation it was issued under (so a flush never seals a frame onto a
+// session its caller was already broadcast off of), and the pooled frame
+// buffer holding the encoded request.
 //
-// A sub has two stakeholders — the flush leader (until the frame is sealed
-// or resolved) and the caller (whose demux loop must not mistake a
-// not-yet-sent frame for a lost one). flushed flips once the flush has
-// disposed of the frame; refs counts the stakeholders, and the last one to
-// disengage (subDone) recycles the struct.
+// The flush that takes a sub off the queue is its only owner: once it has
+// sealed or dropped the sub it recycles it (releaseSub). The caller never
+// reads its sub after submit.
 type pendingSub struct {
-	gen     uint64
-	corr    uint64
-	w       *waiter
-	buf     *[]byte
-	frame   []byte
-	flushed atomic.Bool
-	refs    atomic.Int32
+	gen   uint64
+	corr  uint64
+	w     *waiter
+	buf   *[]byte
+	frame []byte
 }
 
 var subPool = sync.Pool{New: func() any { return new(pendingSub) }}
 
-// coalescer is the stub-side flush queue. Exactly one goroutine at a time
-// holds flushing; everyone else appends and parks on their waiter. The
-// leader loops until it observes an empty queue under the lock, so an
-// enqueuer either sees flushing set (the leader's next iteration collects
-// its frame) or becomes the leader itself — no frame is ever stranded.
+// coalescer is the stub-side flush queue. Frames leave it at exactly two
+// points: the receive-token holder's flush just before each pump, and at
+// most one rider flush per round (see submit). Each flush seals one
+// snapshot of the queue in records of at most coalesceWindow sub-frames,
+// so sealed records ≤ 2 × rounds × ⌈queued/coalesceWindow⌉ whatever the
+// scheduling.
 type coalescer struct {
-	mu       sync.Mutex
-	flushing bool
-	queue    []*pendingSub
-	// scratch is the leader's drain batch, reused across flushes (only the
-	// flush leader touches it).
-	scratch []*pendingSub
+	mu    sync.Mutex
+	queue []*pendingSub
+	// flushMu serializes flushes: when a flush returns, every frame queued
+	// before it started is on the wire, so a token holder's own frame is
+	// always sent before its pump. It also guards spare, the backing array
+	// the next snapshot swaps in, so steady-state flushes allocate nothing.
+	flushMu sync.Mutex
+	spare   []*pendingSub
 }
 
-// submit enqueues one sealed-frame-to-be behind the flush leader and
-// returns the caller's queue entry, so the demux loop can tell "frame not
-// yet on the wire" from "reply lost". Normally nothing is transmitted
-// here: the receive-token holder flushes the queue immediately before it
-// pays for a wire round (flushQueue), which is what coalesces every frame
-// that arrived during the previous round into one sealed record. The one
-// exception is a submit landing while a round is already in flight
-// (s.pumping): waiting would park this frame a full round behind the
-// wire, so the submitter flushes immediately — the record reaches the
-// remote in time for the in-flight round's serve, exactly as the
-// uncoalesced wire behaved.
-func (s *Stub) submit(gen, corr uint64, w *waiter, fp *[]byte, frame []byte) *pendingSub {
+// submit enqueues one sealed-frame-to-be. Normally nothing is transmitted here: the receive-token holder
+// flushes the queue immediately before it pays for a wire round, which is
+// what coalesces every frame that arrived during the previous round into
+// one sealed record. The one exception is the rider: the first submit that
+// lands while a round is in flight (s.rider armed) flushes at once, so its
+// frame — and any queued with it — reaches the remote in time for that
+// round's serve. Every later mid-round submitter waits for the next
+// pre-pump flush, which bounds the flushes to two per round.
+func (s *Stub) submit(gen, corr uint64, w *waiter, fp *[]byte, frame []byte) {
 	sub := subPool.Get().(*pendingSub)
 	sub.gen, sub.corr, sub.w, sub.buf, sub.frame = gen, corr, w, fp, frame
-	sub.refs.Store(2) // the flush leader and the caller
 	c := &s.coal
 	c.mu.Lock()
 	c.queue = append(c.queue, sub)
 	c.mu.Unlock()
-	if s.pumping.Load() {
-		s.gatherWave()
+	if s.rider.CompareAndSwap(true, false) {
 		s.flushQueue()
 	}
-	return sub
 }
 
-// gatherWave yields until the flush queue stops growing (bounded), so a
-// wave of concurrent submitters — typically the callers a drained round
-// just woke, all racing their next request in — lands in one drain and
-// shares records instead of each sealing its own. It returns early when a
-// flush leader is already active (the leader's drain loop collects late
-// arrivals anyway) and gives up after a fixed yield budget, so a lone
-// caller pays one scheduler yield, never a stall: at any real RTT the
-// gather is noise, and correctness never depends on it.
-func (s *Stub) gatherWave() {
-	c := &s.coal
-	last := -1
-	for i := 0; i < 64; i++ {
-		c.mu.Lock()
-		n, flushing := len(c.queue), c.flushing
-		c.mu.Unlock()
-		if flushing || n == last {
-			return
-		}
-		last = n
-		runtime.Gosched()
-	}
-}
-
-// flushQueue drains the coalescer until it observes an empty queue,
-// sealing at most a window of sub-frames per record. Exactly one flusher
-// runs at a time; a caller that loses the flushing flag returns
-// immediately (its frame is the current flusher's to dispose of). Errors —
-// the flusher's own call included — are resolved through the waiters.
+// flushQueue takes one snapshot of the queue and seals it in records of at
+// most coalesceWindow sub-frames. Frames queued after the snapshot wait
+// for the next flush. Errors — a flusher's own call included — are
+// resolved through the waiters.
 func (s *Stub) flushQueue() {
 	c := &s.coal
+	c.flushMu.Lock()
 	c.mu.Lock()
-	if c.flushing {
-		c.mu.Unlock()
-		return
-	}
-	c.flushing = true
-	for len(c.queue) > 0 {
-		n := len(c.queue)
-		if win := s.win.Window(); n > win {
-			n = win
-		}
-		batch := append(c.scratch[:0], c.queue[:n]...)
-		m := copy(c.queue, c.queue[n:])
-		for i := m; i < len(c.queue); i++ {
-			c.queue[i] = nil
-		}
-		c.queue = c.queue[:m]
-		backlog := m
-		c.mu.Unlock()
-		s.flushBatch(batch, backlog)
-		c.scratch = batch[:0]
-		c.mu.Lock()
-	}
-	c.flushing = false
+	batch := c.queue
+	c.queue = c.spare[:0]
 	c.mu.Unlock()
+	for rest := batch; len(rest) > 0; {
+		n := min(len(rest), coalesceWindow)
+		s.flushBatch(rest[:n])
+		rest = rest[n:]
+	}
+	clear(batch)
+	c.spare = batch[:0]
+	c.flushMu.Unlock()
 }
 
-// flushBatch seals one record carrying the drained batch and transmits it.
-// A batch of one seals a plain v3 record — byte-identical to the
-// pre-coalescing wire — so sequential callers and mixed-version peers
-// interoperate unchanged; two or more seal a coalesced record. Stale
-// sub-frames (session replaced since enqueue) are dropped: their callers
-// were already resolved by the replacing path's broadcast. A seal or send
-// failure resolves every drained caller whose registration this flush
-// still owns.
-func (s *Stub) flushBatch(batch []*pendingSub, backlog int) {
+// flushBatch seals one record carrying the batch and transmits it. A batch
+// of one seals a plain v3 record — byte-identical to the pre-coalescing
+// wire — so sequential callers and mixed-version peers interoperate
+// unchanged; two or more seal a coalesced record. Stale sub-frames
+// (session replaced since enqueue) are dropped: their callers were already
+// resolved by the replacing path's broadcast. A seal or send failure
+// resolves every caller whose registration this flush still owns. Every
+// sub in the batch is recycled before flushBatch returns.
+func (s *Stub) flushBatch(batch []*pendingSub) {
 	s.mu.Lock()
 	sess, gen := s.sess, s.gen
 	s.mu.Unlock()
 
 	// Partition in place: live sub-frames (current generation) to the
-	// front. Stale ones are simply marked disposed — their waiters already
-	// hold (or are about to receive) the replacing path's broadcast.
+	// front. Stale ones are simply released — their waiters already hold
+	// (or are about to receive) the replacing path's broadcast.
 	live := batch[:0]
 	for _, sub := range batch {
 		if sub.gen == gen && sess != nil {
 			live = append(live, sub)
 		} else {
-			sub.flushed.Store(true)
-			s.subDone(sub)
+			releaseSub(sub)
 		}
 	}
 	if len(live) == 0 {
@@ -575,8 +387,7 @@ func (s *Stub) flushBatch(batch []*pendingSub, backlog int) {
 			if s.unregister(gen, sub.corr) {
 				sub.w.ch <- result{err: err}
 			}
-			sub.flushed.Store(true)
-			s.subDone(sub)
+			releaseSub(sub)
 		}
 		return
 	}
@@ -586,25 +397,17 @@ func (s *Stub) flushBatch(batch []*pendingSub, backlog int) {
 		s.coalSubs.Add(uint64(n))
 		s.cmon.StubCoalesce(s.name, n)
 	}
-	if win, changed := s.win.ObserveFlush(len(live), backlog); changed {
-		s.cmon.StubCoalesceWindow(s.name, win)
-	}
 	for _, sub := range live {
-		sub.flushed.Store(true)
-		s.subDone(sub)
+		releaseSub(sub)
 	}
 }
 
-// subDone disengages one of a sub's two stakeholders; the last one out
-// recycles the struct and its frame buffer. The waiter is never touched
-// here — its completion is owned by whichever path unregistered it.
-func (s *Stub) subDone(sub *pendingSub) {
-	if sub.refs.Add(-1) != 0 {
-		return
-	}
+// releaseSub recycles a sealed or dropped sub and its frame buffer. The
+// waiter is never touched here — its completion is owned by whichever
+// path unregistered it.
+func releaseSub(sub *pendingSub) {
 	putBuf(sub.buf, sub.frame)
 	sub.gen, sub.corr, sub.w, sub.buf, sub.frame = 0, 0, nil, nil, nil
-	sub.flushed.Store(false)
 	subPool.Put(sub)
 }
 

@@ -2,19 +2,21 @@ package distributed
 
 // Tests for wire-level frame coalescing: the coalesced record codec and
 // its canonical-form guarantees, the AD binding of the cleartext header,
-// the adaptive window controller's AIMD behavior on a virtual clock,
-// exporter-side sub-frame fault isolation, and the stub's send-side
-// coalescing under concurrent callers.
+// exporter-side sub-frame fault isolation, the stub's round-boundary
+// flush points, and its send-side coalescing under concurrent callers.
 
 import (
+	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lateral/internal/core"
+	"lateral/internal/cryptoutil"
 	"lateral/internal/netsim"
 	"lateral/internal/securechan"
 )
@@ -98,71 +100,6 @@ func TestCoalBodyCodec(t *testing.T) {
 		if _, err := DecodeCoalBody(in); !errors.Is(err, ErrTransport) {
 			t.Errorf("%s: err = %v, want ErrTransport", name, err)
 		}
-	}
-}
-
-// TestWindowControllerAIMD drives the adaptive controller on a virtual
-// clock: slow-start doubling while a backlog proves arrivals outpace the
-// window, additive growth when merely saturated, no decay on quiet
-// periods, multiplicative decrease on shed, and a deterministic observed
-// arrival rate.
-func TestWindowControllerAIMD(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	c := NewWindowController(8, clock)
-	if c.Window() != 1 {
-		t.Fatalf("initial window = %d, want 1", c.Window())
-	}
-
-	// Saturated with backlog: slow-start doubling up to the ceiling.
-	for _, want := range []int{2, 4, 8} {
-		now = now.Add(100 * time.Millisecond)
-		win, changed := c.ObserveFlush(c.Window(), 3)
-		if win != want || !changed {
-			t.Fatalf("slow start: window = %d (changed=%v), want %d", win, changed, want)
-		}
-	}
-	// At the ceiling: saturation no longer grows.
-	now = now.Add(100 * time.Millisecond)
-	if win, changed := c.ObserveFlush(8, 5); win != 8 || changed {
-		t.Fatalf("ceiling: window = %d (changed=%v), want 8 unchanged", win, changed)
-	}
-	// Unsaturated flushes never shrink the window.
-	now = now.Add(100 * time.Millisecond)
-	if win, changed := c.ObserveFlush(1, 0); win != 8 || changed {
-		t.Fatalf("quiet flush: window = %d (changed=%v), want 8 unchanged", win, changed)
-	}
-
-	// Shed: multiplicative decrease, floor one.
-	if win, changed := c.ObserveShed(); win != 4 || !changed {
-		t.Fatalf("shed: window = %d (changed=%v), want 4", win, changed)
-	}
-	c.ObserveShed()
-	c.ObserveShed()
-	if win, changed := c.ObserveShed(); win != 1 || changed {
-		t.Fatalf("shed at floor: window = %d (changed=%v), want 1 unchanged", win, changed)
-	}
-
-	// Saturated without backlog: additive increase.
-	now = now.Add(100 * time.Millisecond)
-	if win, _ := c.ObserveFlush(1, 0); win != 2 {
-		t.Fatalf("additive growth: window = %d, want 2", win)
-	}
-
-	st := c.Stats()
-	if st.Window != 2 || st.Grows != 4 || st.Shrinks != 3 {
-		t.Errorf("stats = %+v, want window 2, 4 grows, 3 shrinks", st)
-	}
-	// Drained counts: 1, 2, 4 (slow start), 8 (ceiling), 1 (quiet), 1.
-	if st.Flushes != 6 || st.SubFrames != 1+2+4+8+1+1 {
-		t.Errorf("stats = %+v, want 6 flushes, 17 sub-frames", st)
-	}
-	// 17 sub-frames over the 500ms between first and last flush.
-	if want := 17.0 / 0.5; st.RateHz < want-0.01 || st.RateHz > want+0.01 {
-		t.Errorf("rate = %.2f Hz, want %.2f", st.RateHz, want)
-	}
-	if st.State != "grow" {
-		t.Errorf("state = %q, want grow", st.State)
 	}
 }
 
@@ -416,10 +353,11 @@ func TestCoalescedPingSubFrame(t *testing.T) {
 // and the record/sub-frame books consistent.
 func TestConcurrentCallsCoalesce(t *testing.T) {
 	f := newFixture(t, nil, false)
-	stub, _ := pipeFixture(t, f, 200*time.Microsecond)
+	stub, rounds := pipeFixture(t, f, 200*time.Microsecond)
 	if err := stub.Connect(); err != nil {
 		t.Fatal(err)
 	}
+	handshake := rounds.Load()
 
 	const workers, per = 8, 20
 	var wg sync.WaitGroup
@@ -461,8 +399,95 @@ func TestConcurrentCallsCoalesce(t *testing.T) {
 	if st.CoalescedSubs < 2*st.CoalescedRecords {
 		t.Errorf("coalesced records carry < 2 subs on average: %+v", st)
 	}
-	if st.CoalesceWindow < 1 || st.CoalesceState == "idle" {
-		t.Errorf("controller never engaged: window %d state %q", st.CoalesceWindow, st.CoalesceState)
+	// Records are sealed only at the pre-pump flush and by at most one
+	// rider per round, and 8 callers never fill a 64-frame window.
+	if pumps := rounds.Load() - handshake; st.Records > 2*uint64(pumps) {
+		t.Errorf("records = %d over %d rounds: more than two flushes per round", st.Records, pumps)
+	}
+}
+
+// TestSubmitDuringRoundRidesIt pins the two flush points. Caller A pumps a
+// round that blocks until released. B submits mid-round, wins the rider
+// flag and flushes at once, so its frame rides A's round. C submits
+// mid-round after the rider is spent: its frame stays queued and goes out
+// with the next pre-pump flush. Three plain records, two wire rounds.
+func TestSubmitDuringRoundRidesIt(t *testing.T) {
+	f := newFixture(t, nil, false)
+	var rounds atomic.Int64
+	var block atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	stub, err := NewStub(StubConfig{
+		RemoteName:     "store",
+		RemoteEndpoint: "cloud",
+		Endpoint:       f.net.Attach("rider"),
+		Rand:           cryptoutil.NewPRNG("rider-hs"),
+		VerifyServer:   func(ed25519.PublicKey, [32]byte, []byte) error { return nil },
+		Pump: func() error {
+			rounds.Add(1)
+			if block.CompareAndSwap(true, false) {
+				close(entered)
+				<-release
+			}
+			return f.exporter.Serve()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stub.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	handshake := rounds.Load()
+	block.Store(true)
+
+	call := func(kv string) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := stub.Handle(core.Envelope{Msg: core.Message{Op: "put", Data: []byte(kv)}})
+			done <- err
+		}()
+		return done
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, stub.Stats())
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	queued := func() int {
+		stub.coal.mu.Lock()
+		defer stub.coal.mu.Unlock()
+		return len(stub.coal.queue)
+	}
+
+	a := call("a=1")
+	<-entered // A flushed its frame and is inside its round
+	b := call("b=2")
+	waitFor("B to ride the round in flight", func() bool { return stub.Stats().Records == 2 })
+	c := call("c=3")
+	waitFor("C to queue or flush", func() bool { return queued() == 1 || stub.Stats().Records > 2 })
+	if st := stub.Stats(); st.Records != 2 {
+		t.Fatalf("records = %d after C submitted mid-round, want 2: only one rider per round", st.Records)
+	}
+	close(release)
+	for name, done := range map[string]chan error{"A": a, "B": b, "C": c} {
+		if err := <-done; err != nil {
+			t.Errorf("call %s: %v", name, err)
+		}
+	}
+
+	st := stub.Stats()
+	if got := rounds.Load() - handshake; got != 2 {
+		t.Errorf("wire rounds = %d, want 2: A's round (carrying B) and C's", got)
+	}
+	if st.Records != 3 || st.CoalescedRecords != 0 {
+		t.Errorf("records = %d (%d coalesced), want 3 plain", st.Records, st.CoalescedRecords)
+	}
+	if st.Issued != 3 || st.Completed != 3 || st.Inflight != 0 || st.Orphans != 0 {
+		t.Errorf("books: %+v, want 3 issued = completed", st)
 	}
 }
 
@@ -486,17 +511,5 @@ func TestSequentialCallsStayPlain(t *testing.T) {
 	}
 	if st.Records != st.Issued {
 		t.Errorf("records = %d, want %d (one plain record per call)", st.Records, st.Issued)
-	}
-}
-
-// TestCoalesceDisabledByConfig pins CoalesceMax = 1 as the off switch: the
-// window controller's ceiling is one, so every record stays plain even
-// under concurrency.
-func TestCoalesceDisabledByConfig(t *testing.T) {
-	c := NewWindowController(1, nil)
-	for i := 0; i < 10; i++ {
-		if win, changed := c.ObserveFlush(1, 5); win != 1 || changed {
-			t.Fatalf("window grew past a ceiling of 1: %d", win)
-		}
 	}
 }

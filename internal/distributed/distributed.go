@@ -453,13 +453,6 @@ type StubStats struct {
 	// coalescing saved is CoalescedSubs - CoalescedRecords.
 	CoalescedRecords uint64
 	CoalescedSubs    uint64
-	// CoalesceWindow is the adaptive controller's current window;
-	// CoalesceGrows/CoalesceShrinks its AIMD adaptation counts, and
-	// CoalesceState its last move ("idle", "grow", "shrink", "steady").
-	CoalesceWindow  int
-	CoalesceGrows   uint64
-	CoalesceShrinks uint64
-	CoalesceState   string
 }
 
 // Exporter publishes one component of a local system on the network.
@@ -981,19 +974,16 @@ type Stub struct {
 	// pumping. The holder is the demux loop.
 	recvTok chan struct{}
 
-	// coal is the flush queue concurrent senders coalesce through, and win
-	// the adaptive controller sizing its drains (see coalesce.go).
+	// coal is the flush queue concurrent senders coalesce through (see
+	// coalesce.go).
 	coal coalescer
-	win  *WindowController
 	cmon CoalesceMonitor
 
-	// pumping is set while the token holder is inside a wire round
-	// (s.step in the demux loop). A caller that submits during that
-	// window self-flushes instead of waiting out the round: its record
-	// still reaches the remote before the round's serve, so late
-	// arrivals ride the in-flight round instead of doubling the round
-	// count — coalescing must never cost wire rounds.
-	pumping atomic.Bool
+	// rider is a one-shot flag the token holder arms just before each wire
+	// round (s.step in the demux loop) and disarms after it. The first
+	// submit that wins it flushes at once, so its frame rides the round in
+	// flight; later mid-round submitters wait for the next pre-pump flush.
+	rider atomic.Bool
 
 	ops interner
 
@@ -1055,13 +1045,6 @@ type StubConfig struct {
 	// epoch so reconnects always bind the epoch in force at that moment.
 	// Nil (or a 0 return) keeps the pre-epoch wire format.
 	Epoch func() uint64
-
-	// CoalesceMax caps the adaptive coalescing window — the most
-	// concurrent requests one sealed record may carry. 0 means
-	// DefaultCoalesceMax; 1 disables coalescing (every request seals its
-	// own plain record, the pre-coalescing wire behavior); values above
-	// MaxCoalesce are clamped.
-	CoalesceMax int
 }
 
 // EventRecorder is the structural journal hook (see internal/journal),
@@ -1092,7 +1075,6 @@ func NewStub(cfg StubConfig) (*Stub, error) {
 		mon:     cfg.Monitor,
 		waiters: make(map[uint64]*waiter),
 		recvTok: make(chan struct{}, 1),
-		win:     NewWindowController(cfg.CoalesceMax, cfg.Clock),
 		cmon:    nopCoalesceMonitor{},
 	}
 	if cm, ok := cfg.Monitor.(CoalesceMonitor); ok {
@@ -1118,7 +1100,6 @@ func (s *Stub) Init(*core.Ctx) error { return nil }
 
 // Stats returns a snapshot of the pipelining counters.
 func (s *Stub) Stats() StubStats {
-	ws := s.win.Stats()
 	return StubStats{
 		Issued:           s.issued.Load(),
 		Completed:        s.completed.Load(),
@@ -1129,10 +1110,6 @@ func (s *Stub) Stats() StubStats {
 		Records:          s.records.Load(),
 		CoalescedRecords: s.coalRecords.Load(),
 		CoalescedSubs:    s.coalSubs.Load(),
-		CoalesceWindow:   ws.Window,
-		CoalesceGrows:    ws.Grows,
-		CoalesceShrinks:  ws.Shrinks,
-		CoalesceState:    ws.State,
 	}
 }
 
@@ -1391,7 +1368,7 @@ func (s *Stub) Handle(env core.Envelope) (core.Message, error) {
 	s.mon.StubCall(s.name, int(depth))
 
 	// Build the request frame into a pooled buffer and hand it to the
-	// coalescer: concurrent callers behind the flush leader share one
+	// coalescer: concurrent callers queued for the same flush share one
 	// sealed record (one AEAD pass for the lot), a lone caller seals a
 	// plain record. Seal and send errors — including this call's own —
 	// resolve through the waiters, so every outcome arrives on w.ch or is
@@ -1406,10 +1383,8 @@ func (s *Stub) Handle(env core.Envelope) (core.Message, error) {
 		Op:      env.Msg.Op,
 		Data:    env.Msg.Data,
 	})
-	sub := s.submit(gen, corr, w, fp, frame)
-	msg, err := s.awaitReply(sess, gen, corr, w, env.Deadline, sub)
-	s.subDone(sub)
-	return msg, err
+	s.submit(gen, corr, w, fp, frame)
+	return s.awaitReply(sess, gen, corr, w, env.Deadline)
 }
 
 // finish books one resolved call and recycles its waiter.
@@ -1418,14 +1393,6 @@ func (s *Stub) finish(w *waiter, res result) (core.Message, error) {
 		s.completed.Add(1)
 	} else {
 		s.failed.Add(1)
-		if errors.Is(res.err, core.ErrDeadline) || errors.Is(res.err, core.ErrOverloaded) {
-			// A shed verdict is the adaptive controller's shrink signal:
-			// the pipeline was deeper than the remote side (or the budget)
-			// could absorb.
-			if win, changed := s.win.ObserveShed(); changed {
-				s.cmon.StubCoalesceWindow(s.name, win)
-			}
-		}
 	}
 	s.inflight.Add(-1)
 	s.mon.StubInflight(s.name, -1)
@@ -1436,13 +1403,13 @@ func (s *Stub) finish(w *waiter, res result) (core.Message, error) {
 // awaitReply parks until the call resolves: either another caller's demux
 // loop completes it through the waiter channel, or this caller wins the
 // receive token and runs the demux loop itself.
-func (s *Stub) awaitReply(sess *securechan.Session, gen, corr uint64, w *waiter, deadline time.Time, sub *pendingSub) (core.Message, error) {
+func (s *Stub) awaitReply(sess *securechan.Session, gen, corr uint64, w *waiter, deadline time.Time) (core.Message, error) {
 	for {
 		select {
 		case res := <-w.ch:
 			return s.finish(w, res)
 		case <-s.recvTok:
-			res, done := s.receive(sess, gen, corr, deadline, sub)
+			res, done := s.receive(sess, gen, corr, deadline)
 			s.recvTok <- struct{}{}
 			if done {
 				return s.finish(w, res)
@@ -1472,7 +1439,7 @@ func (s *Stub) awaitReply(sess *securechan.Session, gen, corr uint64, w *waiter,
 //     fail the session and broadcast to every parked caller;
 //   - replies naming no parked caller (duplicates, unknown or stale IDs)
 //     are counted and dropped, never misdelivered.
-func (s *Stub) receive(sess *securechan.Session, gen, ownCorr uint64, deadline time.Time, sub *pendingSub) (result, bool) {
+func (s *Stub) receive(sess *securechan.Session, gen, ownCorr uint64, deadline time.Time) (result, bool) {
 	for {
 		s.mu.Lock()
 		stale := s.gen != gen
@@ -1487,20 +1454,6 @@ func (s *Stub) receive(sess *securechan.Session, gen, ownCorr uint64, deadline t
 			}
 			return result{}, false
 		}
-		if sub != nil && !sub.flushed.Load() {
-			// This call's frame is still queued behind the flush leader.
-			// The token holder is the leader: flushing here — immediately
-			// before paying for a wire round — is what coalesces every
-			// frame that arrived during the previous round into one sealed
-			// record. If another flusher beat us to the flag, yield until
-			// it disposes of our frame: a dry round before then would be a
-			// false transport verdict (the remote side owes nothing yet).
-			s.flushQueue()
-			if !sub.flushed.Load() {
-				runtime.Gosched()
-				continue
-			}
-		}
 		// Collect already-delivered traffic before paying for a round.
 		res, done, deferred, drained := s.drain(sess, gen, ownCorr)
 		if done {
@@ -1512,17 +1465,17 @@ func (s *Stub) receive(sess *securechan.Session, gen, ownCorr uint64, deadline t
 		if drained > 0 {
 			continue
 		}
-		// About to pay for a wire round: gather the in-flight wave, then
-		// put every frame queued at the coalescer on the wire first, so
-		// the round carries their replies too instead of leaving them for
-		// the next token holder. pumping stays set across the round so
-		// frames submitted mid-round self-flush onto the in-flight round
-		// (see submit).
-		s.gatherWave()
+		// About to pay for a wire round. Yield once so the callers the
+		// last round woke can queue their next frames, then put every
+		// queued frame — this call's own included — on the wire, so the
+		// round carries their replies too. The rider flag stays armed
+		// across the round so the first frame submitted mid-round rides
+		// it as well (see submit).
+		runtime.Gosched()
 		s.flushQueue()
-		s.pumping.Store(true)
+		s.rider.Store(true)
 		err := s.step()
-		s.pumping.Store(false)
+		s.rider.Store(false)
 		if err != nil {
 			if s.unregister(gen, ownCorr) {
 				return result{err: err}, true

@@ -42,15 +42,14 @@ type e22Result struct {
 // sequentially) and reports how many pump rounds — wire round trips — the
 // workload consumed, plus the stub's accounting snapshot.
 func e22Run(depth, calls int, rtt time.Duration) (e22Result, error) {
-	return e22RunCfg(depth, calls, rtt, 0, nil)
+	return e22RunLat(depth, calls, rtt, nil)
 }
 
-// e22RunCfg is e22Run with the knobs E27 sweeps: coalesceMax is handed to
-// the stub verbatim (0 = adaptive default, 1 = coalescing off, else the
-// window ceiling), and when lat is non-nil it must hold `calls` slots —
-// worker w stores its i-th call's latency at lat[w*(calls/depth)+i], so
-// the slice is written race-free and p99 can be cut from it afterwards.
-func e22RunCfg(depth, calls int, rtt time.Duration, coalesceMax int, lat []time.Duration) (res e22Result, err error) {
+// e22RunLat is e22Run that also records per-call latencies for E27's p99
+// cut: when lat is non-nil it must hold `calls` slots — worker w stores
+// its i-th call's latency at lat[w*(calls/depth)+i], so the slice is
+// written race-free.
+func e22RunLat(depth, calls int, rtt time.Duration, lat []time.Duration) (res e22Result, err error) {
 	vendor := cryptoutil.NewSigner("intel")
 	net := netsim.New()
 
@@ -89,7 +88,6 @@ func e22RunCfg(depth, calls int, rtt time.Duration, coalesceMax int, lat []time.
 		RemoteEndpoint: "cloud",
 		Endpoint:       net.Attach("laptop"),
 		Rand:           cryptoutil.NewPRNG("e22-cli"),
-		CoalesceMax:    coalesceMax,
 		VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
 			q, err := core.DecodeQuote(evidence)
 			if err != nil {
@@ -227,9 +225,13 @@ type E22Depth struct {
 }
 
 // E22Baseline runs the E22 depth sweep and returns one baseline row per
-// depth. `lateralbench -e22-json` writes the result to BENCH_e22.json;
-// wire rounds and allocs/op are deterministic, ops/sec is wall-clock and
-// machine-dependent (it is a trajectory, not a gate). Allocations are
+// depth. `lateralbench -e22-json` writes the result to BENCH_e22.json.
+// None of its columns is deterministic: depth 1 always takes one round per
+// call, but at depth > 1 a caller that queues its frame after the round's
+// flush and its one rider waits for the next round, so wire rounds sit at
+// or somewhat above calls/depth depending on goroutine scheduling. ops/sec
+// is wall-clock and machine-dependent (a trajectory, not a gate), and
+// allocs/op varies with the rounds. Allocations are
 // whole-process mallocs over the call phase divided by calls, so goroutine
 // spawns and accounting noise show up as fractions — near-zero means the
 // sealed-record hot path itself is allocation-free.

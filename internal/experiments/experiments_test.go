@@ -680,18 +680,17 @@ func TestE27Coalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 9 {
-		t.Fatalf("rows = %d, want 9: %v", len(tab.Rows), tab.Rows)
+	if len(tab.Rows) != 7 {
+		t.Fatalf("rows = %d, want 7: %v", len(tab.Rows), tab.Rows)
 	}
 	for _, r := range tab.Rows {
 		if r[6] != "PASS" {
 			t.Errorf("E27 %s: %v", r[0], r)
 		}
 	}
-	// The uncoalesced wire must pay one sealed record per call; the
-	// adaptive window must beat it by the headline factor.
-	if cell(t, tab, "off", 2) != "256" {
-		t.Errorf("uncoalesced wire did not seal one record per call: %v", tab.Rows[0])
+	// A lone caller is the uncoalesced wire: one sealed record per call.
+	if cell(t, tab, "1", 2) != "256" {
+		t.Errorf("depth 1 did not seal one record per call: %v", tab.Rows[0])
 	}
 }
 
@@ -700,17 +699,19 @@ func TestE27BaselinePoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 5 {
-		t.Fatalf("points = %d, want 5", len(points))
+	// E27Baseline itself refuses a point whose books do not balance or
+	// that sealed more than two records per wire round.
+	if len(points) != 4 {
+		t.Fatalf("points = %d, want 4", len(points))
 	}
-	off, adaptive := points[0], points[len(points)-1]
-	if off.Window != "off" || off.SealedRecords != uint64(off.Calls) {
-		t.Fatalf("uncoalesced point off: %+v", off)
+	lone, deep := points[0], points[len(points)-1]
+	if lone.Depth != 1 || lone.SealedRecords != uint64(lone.Calls) {
+		t.Fatalf("depth-1 point did not seal one record per call: %+v", lone)
 	}
-	if adaptive.Window != "adaptive" || adaptive.SealedRecords*8 > off.SealedRecords {
-		t.Fatalf("adaptive window saved < 8x AEAD passes: %+v vs %+v", adaptive, off)
+	if deep.Depth != 64 || deep.Calls != lone.Calls || deep.SealedRecords*8 > lone.SealedRecords {
+		t.Fatalf("depth 64 saved < 8x AEAD passes: %+v vs %+v", deep, lone)
 	}
-	if adaptive.SubsPerRecord < 2 {
-		t.Fatalf("adaptive window packed %.2f subs/record, want >= 2", adaptive.SubsPerRecord)
+	if deep.SubsPerRecord < 2 {
+		t.Fatalf("depth 64 packed %.2f subs/record, want >= 2", deep.SubsPerRecord)
 	}
 }

@@ -651,7 +651,7 @@ func (s *simSvc) serve(env core.Envelope) (core.Message, error) {
 			// Real — not virtual — service time. The coalesce soak races
 			// concurrent callers against one stub, and coalescing needs a
 			// window during which later arrivals can pile onto the queue
-			// behind the flush leader; the virtual clock never moves here,
+			// for the next flush; the virtual clock never moves here,
 			// so the window has to be wall time.
 			time.Sleep(50 * time.Microsecond)
 		}

@@ -31,12 +31,12 @@ type StubStats struct {
 	Orphans  atomic.Int64 // counter: replies dropped for want of a waiter
 
 	// Coalescing (distributed.CoalesceMonitor, also structural): records
-	// sealed carrying ≥2 sub-frames, the sub-frames they carried, and the
-	// adaptive controller's current window. AEAD passes saved is
-	// CoalSubs - CoalRecords.
+	// sealed carrying ≥2 sub-frames and the sub-frames they carried. AEAD
+	// passes saved is CoalSubs - CoalRecords. CoalWindow is fed only by
+	// StubCoalesceWindow, which the stub no longer calls (see there).
 	CoalRecords atomic.Int64 // counter: coalesced records sealed
 	CoalSubs    atomic.Int64 // counter: sub-frames those records carried
-	CoalWindow  atomic.Int64 // gauge: adaptive coalescing window
+	CoalWindow  atomic.Int64 // gauge: last reported coalescing window
 }
 
 type stubState struct {
@@ -97,8 +97,11 @@ func (m *Metrics) StubCoalesce(stub string, subframes int) {
 	ss.CoalSubs.Add(int64(subframes))
 }
 
-// StubCoalesceWindow reports the adaptive coalescing window after a
-// controller adaptation.
+// StubCoalesceWindow sets a stub's coalescing-window gauge. The stub seals
+// at a fixed window and no longer reports one; the method and its
+// lateral_stub_coalesce_window family stay only because perfbench's
+// monitor forwarder still calls it, and can be retired together with that
+// call at the next benchmark change.
 func (m *Metrics) StubCoalesceWindow(stub string, window int) {
 	m.stub.cell(stub).CoalWindow.Store(int64(window))
 }
